@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import Cycle, ProvGraph, TypeViolation
+from .graph import Cycle, ProvGraph, Sort, TypeViolation
 from .policy import (
     And,
     BoundPolicy,
@@ -110,10 +110,17 @@ class _Evaluator:
         self.graph = graph
         self.diagnostics: list[str] = []
         self._noted: set[str] = set()
+        self._domains: dict[Sort, list[str]] = {}
+
+    def domain(self, sort: Sort) -> list[str]:
+        domain = self._domains.get(sort)
+        if domain is None:
+            domain = self._domains[sort] = _domain(self.graph, sort)
+        return domain
 
     def run(self, node: Policy, bindings: dict[str, str]) -> bool:
         if isinstance(node, Exists):
-            for vid in _domain(self.graph, node.sort):
+            for vid in self.domain(node.sort):
                 bindings[node.var] = vid
                 if self.run(node.body, bindings):
                     del bindings[node.var]
@@ -121,7 +128,7 @@ class _Evaluator:
             bindings.pop(node.var, None)
             return False
         if isinstance(node, Forall):
-            for vid in _domain(self.graph, node.sort):
+            for vid in self.domain(node.sort):
                 bindings[node.var] = vid
                 if not self.run(node.body, bindings):
                     del bindings[node.var]
@@ -178,30 +185,18 @@ class _Evaluator:
             self.diagnostics.append(message)
 
 
-def _leading_chain(ast: Policy, node_type: type) -> tuple[list[tuple[str, object]], Policy]:
-    chain: list[tuple[str, object]] = []
+def _leading_chain(ast: Policy) -> tuple[list[str], list[Sort], Policy]:
+    """The variables and sorts of the outermost run of quantifiers of the
+    root's kind, and the body under them (no variables if the root is not a
+    quantifier)."""
+    names: list[str] = []
+    sorts: list[Sort] = []
     node = ast
-    while isinstance(node, node_type):
-        chain.append((node.var, node.sort))
+    while isinstance(node, (Exists, Forall)) and type(node) is type(ast):
+        names.append(node.var)
+        sorts.append(node.sort)
         node = node.body
-    return chain, node
-
-
-def _chain_assignment(
-    evaluator: _Evaluator,
-    chain: list[tuple[str, object]],
-    body: Policy,
-    target: bool,
-) -> dict[str, str]:
-    """First (lexicographic, outermost-slowest) assignment of the leading
-    quantifier variables for which the remaining body evaluates to ``target``."""
-    names = [var for var, _ in chain]
-    domains = [_domain(evaluator.graph, sort) for _, sort in chain]
-    for combo in itertools.product(*domains):
-        bindings = dict(zip(names, combo))
-        if evaluator.run(body, bindings) is target:
-            return bindings
-    raise AssertionError("no assignment found for a proven quantifier chain")
+    return names, sorts, node
 
 
 def evaluate(policy: BoundPolicy, graph: ProvGraph) -> Verdict:
@@ -212,24 +207,32 @@ def evaluate(policy: BoundPolicy, graph: ProvGraph) -> Verdict:
     connectives form an existential chain come with a witness for that
     chain; unsatisfied policies under a universal chain come with a
     counterexample.
+
+    The leading chain is searched once, its assignments in lexicographic
+    order (outermost variable slowest); the first assignment that settles
+    the verdict is the witness or counterexample.
     """
     _require_valid(graph)
     evaluator = _Evaluator(policy, graph)
-    satisfied = evaluator.run(policy.ast, {})
-    witness: dict[str, str] | None = None
-    counterexample: dict[str, str] | None = None
-    if satisfied:
-        chain, body = _leading_chain(policy.ast, Exists)
-        if chain:
-            witness = _chain_assignment(evaluator, chain, body, True)
+    names, sorts, body = _leading_chain(policy.ast)
+    existential = isinstance(policy.ast, Exists)
+    satisfied = not existential
+    settling: dict[str, str] | None = None
+    if not names:
+        satisfied = evaluator.run(body, {})
     else:
-        chain, body = _leading_chain(policy.ast, Forall)
-        if chain:
-            counterexample = _chain_assignment(evaluator, chain, body, False)
+        bindings: dict[str, str] = {}
+        domains = [evaluator.domain(sort) for sort in sorts]
+        for values in itertools.product(*domains):
+            bindings.update(zip(names, values))
+            if evaluator.run(body, bindings) is existential:
+                satisfied = existential
+                settling = dict(zip(names, values))
+                break
     return Verdict(
         satisfied=satisfied,
-        witness=witness,
-        counterexample=counterexample,
+        witness=settling if satisfied else None,
+        counterexample=None if satisfied else settling,
         diagnostics=tuple(evaluator.diagnostics),
     )
 

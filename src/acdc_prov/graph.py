@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "VertexKind",
@@ -245,29 +245,10 @@ class ProvGraph:
         the label, and the edge must not close a directed cycle. Adding an
         edge that is already present is a no-op.
         """
-        for vid in (src, dst):
-            if vid not in self.vertices:
-                raise MissingVertexError(f"edge endpoint '{vid}' is not in the graph")
         edge = LabeledEdge(src, dst, label)
-        if edge in self.edges:
+        if edge in self.edges and src in self.vertices and dst in self.vertices:
             return self
-        src_kind = self.vertices[src].kind
-        dst_kind = self.vertices[dst].kind
-        if (src_kind, dst_kind) not in TYPING_RULES[label]:
-            violation = TypeViolation(src, dst, label, src_kind, dst_kind)
-            raise TypeViolationError(violation.describe(), violation)
-        if src == dst:
-            raise CycleIntroducedError(
-                f"self-loop on '{src}' rejected: graphs must stay acyclic",
-                cycle=(src,),
-            )
-        path = self._path(dst, src)
-        if path is not None:
-            raise CycleIntroducedError(
-                f"edge {src} -> {dst} would close the cycle "
-                f"{' -> '.join((src, *path))}",
-                cycle=(src, *path[:-1]),
-            )
+        _check_edge(self.vertices, _successors(self.edges), edge)
         return ProvGraph(self.vertices, self.edges | {edge})
 
     def renamed(self, mapping: Mapping[str, str]) -> ProvGraph:
@@ -342,24 +323,21 @@ class ProvGraph:
 
     def validate_acyclic(self) -> list[Cycle]:
         """Return every directed cycle, one representative per strongly
-        connected component, as a vertex-id sequence. Empty iff acyclic."""
-        adjacency = {
-            vid: sorted({e.dst for e in self.edges if e.src == vid})
-            for vid in self.vertices
-        }
+        connected component, as a vertex-id sequence. Empty iff acyclic.
+
+        A component's representative is the shortest closed walk through
+        its smallest id, the lexicographically first if several tie."""
+        successors = _successors(self.edges)
         cycles: list[Cycle] = []
-        for component in self._strongly_connected(adjacency):
-            if len(component) == 1:
-                vid = component[0]
-                if vid in adjacency[vid]:
-                    cycles.append((vid,))
-                continue
-            cycles.append(self._component_cycle(component, adjacency))
+        for component in self._strongly_connected(successors):
+            start = min(component)
+            if len(component) > 1 or start in successors.get(start, ()):
+                cycles.append(_walk(successors, start, start))
         cycles.sort(key=lambda c: (min(c), len(c), c))
         return cycles
 
     def _strongly_connected(
-        self, adjacency: Mapping[str, list[str]]
+        self, successors: Mapping[str, set[str]]
     ) -> list[list[str]]:
         index: dict[str, int] = {}
         low: dict[str, int] = {}
@@ -370,7 +348,9 @@ class ProvGraph:
         for root in sorted(self.vertices):
             if root in index:
                 continue
-            work: list[tuple[str, Iterator[str]]] = [(root, iter(adjacency[root]))]
+            work: list[tuple[str, Iterator[str]]] = [
+                (root, iter(successors.get(root, ())))
+            ]
             index[root] = low[root] = counter
             counter += 1
             stack.append(root)
@@ -384,7 +364,7 @@ class ProvGraph:
                         counter += 1
                         stack.append(nxt)
                         on_stack.add(nxt)
-                        work.append((nxt, iter(adjacency[nxt])))
+                        work.append((nxt, iter(successors.get(nxt, ()))))
                         pushed = True
                         break
                     if nxt in on_stack:
@@ -406,61 +386,73 @@ class ProvGraph:
                     components.append(component)
         return components
 
-    @staticmethod
-    def _component_cycle(
-        component: list[str], adjacency: Mapping[str, list[str]]
-    ) -> Cycle:
-        # Shortest closed walk through the component's smallest id.
-        members = set(component)
-        start = min(component)
-        previous: dict[str, str | None] = {start: None}
-        queue: deque[str] = deque([start])
-        tail = start
-        while queue:
-            vid = queue.popleft()
-            finished = False
-            for nxt in adjacency[vid]:
-                if nxt not in members:
-                    continue
-                if nxt == start:
-                    tail = vid
-                    finished = True
-                    break
-                if nxt not in previous:
-                    previous[nxt] = vid
-                    queue.append(nxt)
-            if finished:
-                break
-        sequence: list[str] = []
-        node: str | None = tail
-        while node is not None:
-            sequence.append(node)
-            node = previous[node]
-        sequence.reverse()
-        return tuple(sequence)
 
-    def _path(self, origin: str, target: str) -> tuple[str, ...] | None:
-        """Shortest directed path origin..target as an id tuple, or None."""
-        if origin == target:
-            return (origin,)
-        previous: dict[str, str | None] = {origin: None}
-        queue: deque[str] = deque([origin])
-        while queue:
-            vid = queue.popleft()
-            for edge in self.edges:
-                if edge.src != vid or edge.dst in previous:
-                    continue
-                previous[edge.dst] = vid
-                if edge.dst == target:
-                    path = [edge.dst]
-                    node: str | None = vid
-                    while node is not None:
-                        path.append(node)
-                        node = previous[node]
-                    path.reverse()
-                    return tuple(path)
-                queue.append(edge.dst)
-        return None
+def _successors(edges: Iterable[LabeledEdge]) -> dict[str, set[str]]:
+    """Map each edge source to the ids its edges point at."""
+    successors: dict[str, set[str]] = {}
+    for edge in edges:
+        successors.setdefault(edge.src, set()).add(edge.dst)
+    return successors
+
+
+def _walk(
+    successors: Mapping[str, set[str]], origin: str, target: str
+) -> tuple[str, ...] | None:
+    """The shortest walk ``origin .. v`` such that ``v -> target`` is an edge,
+    or None; a closed walk when ``origin == target``.
+
+    The search is breadth first and visits successors in sorted order, so
+    every vertex is reached from its earliest-visited predecessor and, of
+    several shortest walks, the lexicographically first is returned.
+    """
+    previous: dict[str, str | None] = {origin: None}
+    queue: deque[str] = deque([origin])
+    while queue:
+        vid = queue.popleft()
+        for nxt in sorted(successors.get(vid, ())):
+            if nxt == target:
+                walk: list[str] = []
+                node: str | None = vid
+                while node is not None:
+                    walk.append(node)
+                    node = previous[node]
+                walk.reverse()
+                return tuple(walk)
+            if nxt not in previous:
+                previous[nxt] = vid
+                queue.append(nxt)
+    return None
+
+
+def _check_edge(
+    vertices: Mapping[str, Vertex],
+    successors: Mapping[str, set[str]],
+    edge: LabeledEdge,
+) -> None:
+    """Raise the error that keeps ``edge`` out of a graph with these vertices
+    and successor map: a missing endpoint, endpoint kinds its label does not
+    admit, a self-loop, or a directed cycle the edge would close."""
+    src, dst, label = edge.src, edge.dst, edge.label
+    for vid in (src, dst):
+        if vid not in vertices:
+            raise MissingVertexError(f"edge endpoint '{vid}' is not in the graph")
+    src_kind = vertices[src].kind
+    dst_kind = vertices[dst].kind
+    if (src_kind, dst_kind) not in TYPING_RULES[label]:
+        violation = TypeViolation(src, dst, label, src_kind, dst_kind)
+        raise TypeViolationError(violation.describe(), violation)
+    if src == dst:
+        raise CycleIntroducedError(
+            f"self-loop on '{src}' rejected: graphs must stay acyclic",
+            cycle=(src,),
+        )
+    walk = _walk(successors, dst, src)
+    if walk is not None:
+        raise CycleIntroducedError(
+            f"edge {src} -> {dst} would close the cycle "
+            f"{' -> '.join((src, *walk, src))}",
+            cycle=(src, *walk),
+        )
 
 
 def union(*graphs: ProvGraph) -> ProvGraph:

@@ -193,8 +193,6 @@ class StrictBindingError(PolicyError):
 _KEYWORDS = frozenset(
     {"exists", "forall", "and", "or", "not", "true", "false", "edge", "member"}
 )
-_SORT_NAMES: Mapping[str, Sort] = {s.value: s for s in Sort}
-_LABEL_NAMES: Mapping[str, RelationLabel] = {l.value: l for l in RelationLabel}
 
 
 @dataclass(frozen=True)
@@ -304,14 +302,15 @@ class _Parser:
             )
         self.eat(":")
         sort_token = self.eat("ident")
-        sort = _SORT_NAMES.get(sort_token.value)
-        if sort is None:
+        try:
+            sort = Sort(sort_token.value)
+        except ValueError:
             raise UnknownSortError(
                 f"unknown sort {sort_token.value!r}",
                 sort_token.line,
                 sort_token.column,
-                expected=frozenset(_SORT_NAMES),
-            )
+                expected=frozenset(s.value for s in Sort),
+            ) from None
         self.eat(".")
         self.scope.append(name_token.value)
         try:
@@ -378,14 +377,15 @@ class _Parser:
         target = self.term()
         self.eat(",")
         label_token = self.eat("ident")
-        label = _LABEL_NAMES.get(label_token.value)
-        if label is None:
+        try:
+            label = RelationLabel(label_token.value)
+        except ValueError:
             raise UnknownLabelError(
                 f"unknown relation label {label_token.value!r}",
                 label_token.line,
                 label_token.column,
-                expected=frozenset(_LABEL_NAMES),
-            )
+                expected=frozenset(l.value for l in RelationLabel),
+            ) from None
         self.eat(")")
         return EdgeAtom(source, target, label)
 

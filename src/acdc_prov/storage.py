@@ -19,7 +19,7 @@ An environment file is JSON of the shape
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from .graph import (
     GraphError,
@@ -30,6 +30,7 @@ from .graph import (
     TypeViolationError,
     Vertex,
     VertexKind,
+    _check_edge,
 )
 from .evaluator import Verdict
 from .policy import Environment
@@ -48,9 +49,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "acdc-prov/1"
-
-_KIND_NAMES: Mapping[str, VertexKind] = {k.value: k for k in VertexKind}
-_LABEL_NAMES: Mapping[str, RelationLabel] = {l.value: l for l in RelationLabel}
 
 
 class MalformedDocumentError(Exception):
@@ -81,7 +79,7 @@ def _decode(data: bytes | str) -> Any:
 
 def _parse_graph_document(
     data: bytes | str,
-) -> tuple[list[tuple[str, VertexKind, dict[str, str]]], list[tuple[str, str, RelationLabel]]]:
+) -> tuple[dict[str, Vertex], dict[LabeledEdge, None]]:
     doc = _decode(data)
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top-level value must be an object")
@@ -97,8 +95,7 @@ def _parse_graph_document(
     if not isinstance(raw_edges, list):
         raise MalformedDocumentError("'edges' must be a list")
 
-    vertices: list[tuple[str, VertexKind, dict[str, str]]] = []
-    seen_ids: set[str] = set()
+    vertices: dict[str, Vertex] = {}
     for i, record in enumerate(raw_vertices):
         where = f"vertices[{i}]"
         if not isinstance(record, dict):
@@ -109,21 +106,20 @@ def _parse_graph_document(
         kind_name = record.get("kind")
         if not isinstance(kind_name, str):
             raise MalformedDocumentError(f"{where}: 'kind' must be a string")
-        kind = _KIND_NAMES.get(kind_name)
-        if kind is None:
-            raise UnknownKindError(f"{where}: unknown kind {kind_name!r}")
+        try:
+            kind = VertexKind(kind_name)
+        except ValueError:
+            raise UnknownKindError(f"{where}: unknown kind {kind_name!r}") from None
         attrs = record.get("attrs", {})
         if not isinstance(attrs, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
         ):
             raise MalformedDocumentError(f"{where}: 'attrs' must map strings to strings")
-        if vid in seen_ids:
+        if vid in vertices:
             raise MalformedDocumentError(f"{where}: duplicate vertex id {vid!r}")
-        seen_ids.add(vid)
-        vertices.append((vid, kind, dict(attrs)))
+        vertices[vid] = Vertex(vid, kind, dict(attrs))
 
-    edges: list[tuple[str, str, RelationLabel]] = []
-    seen_edges: set[tuple[str, str, str]] = set()
+    edges: dict[LabeledEdge, None] = {}  # in document order
     for i, record in enumerate(raw_edges):
         where = f"edges[{i}]"
         if not isinstance(record, dict):
@@ -135,16 +131,16 @@ def _parse_graph_document(
         label_name = record.get("label")
         if not isinstance(label_name, str):
             raise MalformedDocumentError(f"{where}: 'label' must be a string")
-        label = _LABEL_NAMES.get(label_name)
-        if label is None:
-            raise UnknownLabelError(f"{where}: unknown label {label_name!r}")
-        triple = (src, dst, label_name)
-        if triple in seen_edges:
+        try:
+            label = RelationLabel(label_name)
+        except ValueError:
+            raise UnknownLabelError(f"{where}: unknown label {label_name!r}") from None
+        edge = LabeledEdge(src, dst, label)
+        if edge in edges:
             raise MalformedDocumentError(
                 f"{where}: duplicate edge {src} -> {dst} ({label_name})"
             )
-        seen_edges.add(triple)
-        edges.append((src, dst, label))
+        edges[edge] = None
 
     return vertices, edges
 
@@ -159,24 +155,21 @@ def _with_index(exc: GraphError, where: str) -> GraphError:
 
 
 def load_graph(data: bytes | str) -> ProvGraph:
-    """Parse a graph document and construct the graph through the checked
-    insertion operations; the result is always well typed and acyclic.
+    """Parse a graph document and check each edge record, in document
+    order, as ``ProvGraph.add_edge`` would insert it; the result is always
+    well typed and acyclic.
 
     Construction errors are re-raised with the offending record index.
     """
     vertices, edges = _parse_graph_document(data)
-    graph = ProvGraph()
-    for i, (vid, kind, attrs) in enumerate(vertices):
+    successors: dict[str, set[str]] = {}
+    for i, edge in enumerate(edges):
         try:
-            graph = graph.add_vertex(vid, kind, attrs)
-        except GraphError as exc:
-            raise _with_index(exc, f"vertices[{i}]") from None
-    for i, (src, dst, label) in enumerate(edges):
-        try:
-            graph = graph.add_edge(src, dst, label)
+            _check_edge(vertices, successors, edge)
         except GraphError as exc:
             raise _with_index(exc, f"edges[{i}]") from None
-    return graph
+        successors.setdefault(edge.src, set()).add(edge.dst)
+    return ProvGraph(vertices, frozenset(edges))
 
 
 def load_graph_unchecked(data: bytes | str) -> ProvGraph:
@@ -186,16 +179,13 @@ def load_graph_unchecked(data: bytes | str) -> ProvGraph:
     diagnostic validation, where the point is to report violations rather
     than refuse the file.
     """
-    vertex_records, edge_records = _parse_graph_document(data)
-    vertices = {vid: Vertex(vid, kind, attrs) for vid, kind, attrs in vertex_records}
-    edges = set()
-    for i, (src, dst, label) in enumerate(edge_records):
-        for endpoint in (src, dst):
+    vertices, edges = _parse_graph_document(data)
+    for i, edge in enumerate(edges):
+        for endpoint in (edge.src, edge.dst):
             if endpoint not in vertices:
                 raise MalformedDocumentError(
                     f"edges[{i}]: endpoint {endpoint!r} is not a declared vertex"
                 )
-        edges.add(LabeledEdge(src, dst, label))
     return ProvGraph(vertices, frozenset(edges))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -27,12 +28,22 @@ from acdc_prov.policy import (
     ConstRef,
     EdgeAtom,
     Environment,
+    Exists,
+    Forall,
     Not,
     Var,
     bind,
     parse_policy,
+    pretty_print,
 )
-from randgen import random_environment, random_graph, random_policy_ast
+from acdc_prov.scenarios import corpus, corpus_graphs
+from randgen import (
+    SORTS,
+    VAR_NAMES,
+    random_environment,
+    random_graph,
+    random_policy_ast,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -254,6 +265,63 @@ def test_negation_duality(seed):
     direct = evaluate(bind(ast, env), graph).satisfied
     negated = evaluate(bind(Not(ast), env), graph).satisfied
     assert direct != negated
+
+
+def _settling_assignment(bound, graph):
+    """The expected (witness, counterexample) of ``bound`` on ``graph``,
+    derived from their definition without ``evaluate``: the first
+    assignment of the leading quantifier chain, in lexicographic order with
+    the outermost variable slowest, whose body the naive oracle evaluates
+    to the chain's settling value (true under ``exists``, false under
+    ``forall``). The body is evaluated with the chain's variables turned
+    into constants: printed, re-parsed and bound with the assignment added
+    to the environment."""
+    root = bound.ast
+    names, sorts, body = [], [], root
+    while isinstance(body, (Exists, Forall)) and type(body) is type(root):
+        names.append(body.var)
+        sorts.append(body.sort)
+        body = body.body
+    if not names:
+        return None, None
+    existential = isinstance(root, Exists)
+    grounded = parse_policy(pretty_print(body))
+    domains = [sorted(graph.vertices_of_sort(sort)) for sort in sorts]
+    for values in itertools.product(*domains):
+        assignment = dict(zip(names, values))
+        env = Environment(
+            constants={**bound.constants, **assignment}, sets=dict(bound.sets)
+        )
+        if evaluate_naive(bind(grounded, env), graph) == existential:
+            return (assignment, None) if existential else (None, assignment)
+    return None, None
+
+
+def _assert_settled_by_definition(bound, graph):
+    verdict = evaluate(bound, graph)
+    witness, counterexample = _settling_assignment(bound, graph)
+    assert verdict.satisfied == evaluate_naive(bound, graph)
+    assert verdict.witness == witness
+    assert verdict.counterexample == counterexample
+
+
+def test_witnesses_and_counterexamples_follow_their_definition_on_the_corpus():
+    for graph in corpus_graphs().values():
+        for entry in corpus():
+            _assert_settled_by_definition(entry.bound(), graph)
+
+
+@settings(deadline=None, max_examples=100)
+@given(SEEDS)
+def test_witnesses_and_counterexamples_follow_their_definition_on_random_inputs(seed):
+    rng = random.Random(seed)
+    graph = random_graph(rng)
+    names = VAR_NAMES[: rng.randint(1, 3)]
+    ast = random_policy_ast(rng, max_quantifiers=1, max_depth=3, scope=names)
+    quantifier = rng.choice((Exists, Forall))
+    for name in reversed(names):
+        ast = quantifier(name, rng.choice(SORTS), ast)
+    _assert_settled_by_definition(bind(ast, random_environment(rng, graph)), graph)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,36 @@
+"""The benchmark harness still runs, and every answer it checks is right.
+
+One short pass of each benchmarked workload, run as the benchmark runs
+it: ``perfbench/run.py`` from the repository root. The harness checks each
+slice, verdict, witness and counterexample against the ground truth of
+its generated history, and its last output line reports the outcome.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["gate", "audit"])
+def test_one_pass_of_the_benchmark_is_correct(workload):
+    command = [sys.executable, "perfbench/run.py", "--workload", workload]
+    command += ["--seed", "1", "--seconds", "0.1", "--trace", "0"]
+    result = subprocess.run(
+        command,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert outcome["correct"] is True
+    assert outcome["failed"] == 0
+    assert outcome["attempted"] > 0

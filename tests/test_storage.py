@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import acdc_prov
 from acdc_prov.evaluator import evaluate
 from acdc_prov.graph import (
     CycleIntroducedError,
@@ -229,6 +234,44 @@ def test_cycle_reports_the_closing_edge_index():
     with pytest.raises(CycleIntroducedError, match=r"edges\[1\]") as err:
         load_graph(doc)
     assert err.value.cycle
+
+
+_DIAMOND_CLOSED = _doc(
+    [{"id": vid, "kind": "data_entity"} for vid in "abcd"],
+    [
+        {"src": src, "dst": dst, "label": "WasDerivedFrom"}
+        for src, dst in ("ab", "ac", "bd", "cd", "da")
+    ],
+)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_cycle_report_is_the_lexicographically_first_shortest(hash_seed):
+    # d -> a closes two shortest cycles, through b and through c. The
+    # report must not depend on string hashing, so load in a fresh
+    # interpreter under more than one hash seed.
+    script = (
+        "import sys\n"
+        "from acdc_prov.storage import load_graph\n"
+        "try:\n"
+        "    load_graph(sys.stdin.read())\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc, exc.cycle)\n"
+    )
+    src = Path(acdc_prov.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        input=_DIAMOND_CLOSED,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == (
+        "CycleIntroducedError edges[4]: edge d -> a would close the cycle "
+        "d -> a -> b -> d ('d', 'a', 'b')\n"
+    )
 
 
 def test_unchecked_load_defers_typing_to_validation():
