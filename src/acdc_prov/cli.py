@@ -4,7 +4,7 @@ Graph, policy and environment arguments are paths; names that do not
 resolve directly are looked up in the built-in corpus directory (or the
 directory named by the ACDC_CORPUS_DIR environment variable). Exit codes:
 0 for satisfied/clean/all-as-expected, 1 for violated/invalid/mismatch,
-2 for unusable input.
+2 for unusable input, including input nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -73,15 +73,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print("satisfied" if verdict.satisfied else "violated")
-        if args.witness:
-            if verdict.witness is not None:
-                bindings = ", ".join(f"{k} = {v}" for k, v in verdict.witness.items())
-                print(f"witness: {bindings}")
-            if verdict.counterexample is not None:
-                bindings = ", ".join(
-                    f"{k} = {v}" for k, v in verdict.counterexample.items()
-                )
-                print(f"counterexample: {bindings}")
+        for name in ("witness", "counterexample") if args.witness else ():
+            assignment = getattr(verdict, name)
+            if assignment is not None:
+                bindings = ", ".join(f"{k} = {v}" for k, v in assignment.items())
+                print(f"{name}: {bindings}")
         for note in verdict.diagnostics:
             print(f"note: {note}")
     return 0 if verdict.satisfied else 1
@@ -220,6 +216,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,11 @@
 """Event extraction and per-agent slicing of provenance graphs.
 
 An *event* is the one-activity neighbourhood of a graph: the activity, the
-entities it used and generated, derivations among those entities, the
-agents one attribution hop away plus the associated node agents, and the
-account agents those node agents act on behalf of. A per-agent *slice* is
-the union of all events an account agent appears in; chains longer than
-one attribution hop are deliberately out of scope.
+entities it used and generated, the agents one attribution hop away plus
+the associated node agents, the account agents those agents act on behalf
+of, and every edge between two of these vertices (the induced subgraph).
+A per-agent *slice* is the union of all events an account agent appears
+in; chains longer than one attribution hop are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ class Event:
 def extract_event(graph: ProvGraph, activity: str) -> Event:
     """Cut the event subgraph around ``activity``.
 
-    The subgraph contains exactly one activity (the named one), its used
-    and generated entities, WasDerivedFrom edges among those entities,
-    agents attributed by them, the associated node agents, and the account
-    agents the included node agents act on behalf of, together with all
-    such edges between included vertices.
+    The subgraph is the one induced by these vertices: exactly one activity
+    (the named one), its used and generated entities, the agents attributed
+    by them, the associated node agents, and the account agents the included
+    agents act on behalf of, with every edge of ``graph`` whose source and
+    destination are both included.
     """
     vertex = graph.vertices.get(activity)
     if vertex is None:
@@ -85,33 +85,9 @@ def extract_event(graph: ProvGraph, activity: str) -> Event:
     }
     included = {activity} | entities | agents | principals
 
-    edges: set[LabeledEdge] = set()
-    for e in graph.edges:
-        keep = (
-            (e.label is RelationLabel.USED and e.src == activity and e.dst in entities)
-            or (
-                e.label is RelationLabel.WAS_GENERATED_BY
-                and e.dst == activity
-                and e.src in entities
-            )
-            or (
-                e.label is RelationLabel.WAS_DERIVED_FROM
-                and e.src in entities
-                and e.dst in entities
-            )
-            or (
-                e.label is RelationLabel.WAS_ATTRIBUTED_TO
-                and e.src in entities
-                and e.dst in included
-            )
-            or (e.label is RelationLabel.WAS_ASSOCIATED_WITH and e.src == activity)
-            or (e.label is RelationLabel.ACTED_ON_BEHALF_OF and e.src in agents)
-        )
-        if keep:
-            edges.add(e)
-
+    edges = {e for e in graph.edges if e.src in included and e.dst in included}
     vertices = {vid: graph.vertices[vid] for vid in sorted(included)}
-    return Event(ProvGraph(vertices, frozenset(edges)), activity)
+    return Event(ProvGraph(vertices, edges), activity)
 
 
 def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
@@ -135,4 +111,4 @@ def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
         if agent in event.subgraph.vertices:
             vertices.update(event.subgraph.vertices)
             edges |= event.subgraph.edges
-    return ProvGraph(vertices, frozenset(edges))
+    return ProvGraph(vertices, edges)

@@ -7,9 +7,9 @@ activities. Edges carry one of six causal relation labels, and each label
 admits only a fixed set of (source kind, destination kind) combinations --
 see ``TYPING_RULES``.
 
-Graphs are immutable values: every mutating operation returns a new graph
-and never touches the receiver. Comparison and lookup of vertices are by
-id; optional ``attrs`` are display metadata with no semantics.
+Graphs are read-only values, down to each vertex's ``attrs``, and validate
+at most once; every mutating operation returns a new graph. Vertex
+comparison and lookup are by id; ``attrs`` are display metadata only.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -167,6 +169,12 @@ class Vertex:
     kind: VertexKind
     attrs: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attrs", MappingProxyType(dict(self.attrs)))
+
+    def __reduce__(self):
+        return Vertex, (self.id, self.kind, dict(self.attrs))
+
 
 @dataclass(frozen=True)
 class LabeledEdge:
@@ -204,15 +212,22 @@ Cycle = tuple[str, ...]
 
 @dataclass(frozen=True)
 class ProvGraph:
-    """An immutable typed provenance graph.
+    """A read-only typed provenance graph that validates at most once.
 
     Direct construction bypasses the insertion checks; graphs built through
     ``add_vertex``/``add_edge`` are always well typed and acyclic, and
-    ``validate_typing``/``validate_acyclic`` re-check arbitrary instances.
+    ``validate_typing``/``validate_acyclic`` check any instance, once.
     """
 
     vertices: Mapping[str, Vertex] = field(default_factory=dict)
     edges: frozenset[LabeledEdge] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", MappingProxyType(dict(self.vertices)))
+        object.__setattr__(self, "edges", frozenset(self.edges))
+
+    def __reduce__(self):
+        return ProvGraph, (dict(self.vertices), self.edges)
 
     # -- construction -------------------------------------------------------
 
@@ -234,9 +249,8 @@ class ProvGraph:
                 f"vertex '{vertex_id}' already exists with kind "
                 f"{existing.kind.value}, cannot re-add as {kind.value}"
             )
-        vertices = dict(self.vertices)
-        vertices[vertex_id] = Vertex(vertex_id, kind, dict(attrs or {}))
-        return ProvGraph(vertices, self.edges)
+        vertex = Vertex(vertex_id, kind, attrs or {})
+        return ProvGraph({**self.vertices, vertex_id: vertex}, self.edges)
 
     def add_edge(self, src: str, dst: str, label: RelationLabel) -> ProvGraph:
         """Return a graph that also contains the edge ``src -> dst`` (label).
@@ -267,7 +281,7 @@ class ProvGraph:
                 raise ValueError("vertex id must be a non-empty string")
             if new_id in vertices:
                 raise DuplicateIdError(f"renaming maps two vertices onto '{new_id}'")
-            vertices[new_id] = Vertex(new_id, vertex.kind, dict(vertex.attrs))
+            vertices[new_id] = Vertex(new_id, vertex.kind, vertex.attrs)
         edges = frozenset(
             LabeledEdge(rewrite(e.src), rewrite(e.dst), e.label) for e in self.edges
         )
@@ -311,6 +325,18 @@ class ProvGraph:
 
     def validate_typing(self) -> list[TypeViolation]:
         """Return one TypeViolation per edge not admitted by its label."""
+        return list(self._typing_report)
+
+    def validate_acyclic(self) -> list[Cycle]:
+        """Return every directed cycle, one representative per strongly
+        connected component, as a vertex-id sequence. Empty iff acyclic.
+
+        A component's representative is the shortest closed walk through
+        its smallest id, the lexicographically first if several tie."""
+        return list(self._cycle_report)
+
+    @cached_property
+    def _typing_report(self) -> tuple[TypeViolation, ...]:
         violations = []
         for edge in sorted(self.edges, key=lambda e: (e.src, e.dst, e.label.value)):
             src_kind = self.vertices[edge.src].kind
@@ -319,22 +345,17 @@ class ProvGraph:
                 violations.append(
                     TypeViolation(edge.src, edge.dst, edge.label, src_kind, dst_kind)
                 )
-        return violations
+        return tuple(violations)
 
-    def validate_acyclic(self) -> list[Cycle]:
-        """Return every directed cycle, one representative per strongly
-        connected component, as a vertex-id sequence. Empty iff acyclic.
-
-        A component's representative is the shortest closed walk through
-        its smallest id, the lexicographically first if several tie."""
+    @cached_property
+    def _cycle_report(self) -> tuple[Cycle, ...]:
         successors = _successors(self.edges)
         cycles: list[Cycle] = []
         for component in self._strongly_connected(successors):
             start = min(component)
             if len(component) > 1 or start in successors.get(start, ()):
                 cycles.append(_walk(successors, start, start))
-        cycles.sort(key=lambda c: (min(c), len(c), c))
-        return cycles
+        return tuple(sorted(cycles, key=lambda c: (min(c), len(c), c)))
 
     def _strongly_connected(
         self, successors: Mapping[str, set[str]]
@@ -479,7 +500,7 @@ def union(*graphs: ProvGraph) -> ProvGraph:
                     vid, existing.kind, {**existing.attrs, **vertex.attrs}
                 )
         edges |= graph.edges
-    merged = ProvGraph(vertices, frozenset(edges))
+    merged = ProvGraph(vertices, edges)
     cycles = merged.validate_acyclic()
     if cycles:
         raise CycleIntroducedError(

@@ -75,6 +75,8 @@ def _decode(data: bytes | str) -> Any:
         raise MalformedDocumentError(
             f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except RecursionError:
+        raise MalformedDocumentError("invalid JSON: nested too deeply") from None
 
 
 def _parse_graph_document(
@@ -117,7 +119,7 @@ def _parse_graph_document(
             raise MalformedDocumentError(f"{where}: 'attrs' must map strings to strings")
         if vid in vertices:
             raise MalformedDocumentError(f"{where}: duplicate vertex id {vid!r}")
-        vertices[vid] = Vertex(vid, kind, dict(attrs))
+        vertices[vid] = Vertex(vid, kind, attrs)
 
     edges: dict[LabeledEdge, None] = {}  # in document order
     for i, record in enumerate(raw_edges):

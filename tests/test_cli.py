@@ -1,11 +1,17 @@
-"""Command-line behaviour, driven through main() in-process."""
+"""Command-line behaviour, driven through main() in-process, and through a
+fresh interpreter where the exit code and stderr of the process matter."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acdc_prov
 from acdc_prov.cli import corpus_dir, main
 from acdc_prov.events import slice_by_agent
 from acdc_prov.graph import ProvGraph, RelationLabel, VertexKind
@@ -323,3 +329,43 @@ def test_usage_errors_exit_two(capsys):
         main(["check"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# deeply nested input
+# ---------------------------------------------------------------------------
+
+_DEEP_INPUTS = {
+    "check-graph": ("deep.json", "[" * 100_000, ["check", "deep.json", "p1.pol"]),
+    "validate-graph": ("deep.json", "[" * 100_000, ["validate", "deep.json"]),
+    "parentheses": (
+        "deep.pol",
+        "(" * 3000 + "true" + ")" * 3000 + "\n",
+        ["check", "empty.json", "deep.pol"],
+    ),
+    "nots": ("deep.pol", "not " * 3000 + "true\n", ["check", "empty.json", "deep.pol"]),
+    "ands": (
+        "deep.pol",
+        " and ".join(["true"] * 5000) + "\n",
+        ["check", "empty.json", "deep.pol"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _DEEP_INPUTS)
+def test_deeply_nested_input_is_unusable_input(tmp_path, case):
+    name, text, argv = _DEEP_INPUTS[case]
+    _write(tmp_path, name, text)
+    src = Path(acdc_prov.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "acdc_prov.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr

@@ -224,6 +224,30 @@ def test_invalid_graph_error_carries_details(entries):
     assert err.value.violations
 
 
+def test_a_graph_is_validated_once_across_evaluations(entries, alice_trace, monkeypatch):
+    searches = []
+    search = ProvGraph._strongly_connected
+
+    def counting(self, successors):
+        searches.append(self)
+        return search(self, successors)
+
+    monkeypatch.setattr(ProvGraph, "_strongly_connected", counting)
+    graph = ProvGraph(alice_trace.vertices, alice_trace.edges)  # not yet validated
+    bound = _bound(entries, "receipt_attributed")
+    verdicts = [evaluate(bound, graph) for _ in range(3)]
+    assert len(searches) == 1 and searches[0] is graph
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+@pytest.mark.parametrize("broken", [_badly_typed_graph, _cyclic_graph])
+def test_invalid_graph_is_rejected_on_every_call(entries, broken):
+    graph, bound = broken(), _bound(entries, "p1")
+    for _ in range(3):
+        with pytest.raises(InvalidGraphError):
+            evaluate(bound, graph)
+
+
 def test_unscoped_variable_is_an_error_on_both_routes(encapsulation):
     ast = EdgeAtom(Var("x"), ConstRef("Bob"), RelationLabel.WAS_ATTRIBUTED_TO)
     bound = bind(ast, Environment(constants={"Bob": "Bob"}))

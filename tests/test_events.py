@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from acdc_prov.evaluator import InvalidGraphError, evaluate
 from acdc_prov.events import (
     NoSuchActivityError,
     NoSuchAgentError,
@@ -14,13 +15,22 @@ from acdc_prov.events import (
     extract_event,
     slice_by_agent,
 )
-from acdc_prov.graph import ProvGraph, RelationLabel, Sort, VertexKind, union
+from acdc_prov.graph import (
+    LabeledEdge,
+    ProvGraph,
+    RelationLabel,
+    Sort,
+    Vertex,
+    VertexKind,
+    union,
+)
 from acdc_prov.scenarios import (
     BALLOT_STEPS,
     build_two_state_trace,
     build_voting_trace,
+    corpus_graphs,
 )
-from randgen import random_graph
+from randgen import random_graph, random_graph_with_order
 
 
 def _disjoint_copy(graph: ProvGraph, prefix: str, keep: set[str] | None = None) -> ProvGraph:
@@ -99,6 +109,85 @@ def test_extract_event_unknown_id():
 def test_extract_event_wrong_kind(encapsulation):
     with pytest.raises(WrongKindError):
         extract_event(encapsulation, "Bob")
+
+
+# ---------------------------------------------------------------------------
+# an event's edges are the subgraph its vertices induce
+# ---------------------------------------------------------------------------
+
+
+def _per_label_event_edges(graph: ProvGraph, activity: str) -> frozenset[LabeledEdge]:
+    """An event's edges by the earlier per-label definition: each relation
+    is kept only in the position the event's construction gives it."""
+    R = RelationLabel
+    inputs = {e.dst for e in graph.out_edges(activity, R.USED)}
+    outputs = {e.src for e in graph.in_edges(activity, R.WAS_GENERATED_BY)}
+    entities = inputs | outputs
+    attributed = {
+        e.dst for e in graph.edges if e.label is R.WAS_ATTRIBUTED_TO and e.src in entities
+    }
+    associated = {e.dst for e in graph.out_edges(activity, R.WAS_ASSOCIATED_WITH)}
+    agents = attributed | associated
+    principals = {
+        e.dst for e in graph.edges if e.label is R.ACTED_ON_BEHALF_OF and e.src in agents
+    }
+    included = {activity} | entities | agents | principals
+
+    def keep(e: LabeledEdge) -> bool:
+        return (
+            (e.label is R.USED and e.src == activity and e.dst in entities)
+            or (e.label is R.WAS_GENERATED_BY and e.dst == activity and e.src in entities)
+            or (e.label is R.WAS_DERIVED_FROM and e.src in entities and e.dst in entities)
+            or (e.label is R.WAS_ATTRIBUTED_TO and e.src in entities and e.dst in included)
+            or (e.label is R.WAS_ASSOCIATED_WITH and e.src == activity)
+            or (e.label is R.ACTED_ON_BEHALF_OF and e.src in agents)
+        )
+
+    return frozenset(e for e in graph.edges if keep(e))
+
+
+def _assert_events_match_per_label_definition(graph: ProvGraph) -> int:
+    activities = sorted(graph.vertices_of_sort(Sort.ACTIVITY))
+    for activity in activities:
+        expected = _per_label_event_edges(graph, activity)
+        assert extract_event(graph, activity).subgraph.edges == expected, activity
+    return len(activities)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_graphs()))
+def test_corpus_events_match_per_label_definition(name):
+    _assert_events_match_per_label_definition(corpus_graphs()[name])
+
+
+@pytest.mark.parametrize("edge_chance", [0.1, 0.35, 0.5, 0.7])
+def test_random_events_match_per_label_definition(edge_chance):
+    events = 0
+    for seed in range(60):
+        rng = random.Random(f"events-{edge_chance}-{seed}")
+        graph, _ = random_graph_with_order(rng, 24, 6, edge_chance)
+        events += _assert_events_match_per_label_definition(graph)
+    assert events > 100
+
+
+def test_event_of_ill_typed_graph_keeps_edges_between_its_vertices(entries):
+    # Only direct construction or an unchecked load makes such a graph. The
+    # event keeps the ill-typed edge, and evaluation refuses the event
+    # rather than judging a silently filtered one.
+    R = RelationLabel
+    vertices = {
+        "Run": Vertex("Run", VertexKind.ACTIVITY),
+        "In": Vertex("In", VertexKind.DATA_ENTITY),
+        "Out": Vertex("Out", VertexKind.DATA_ENTITY),
+    }
+    edges = {
+        LabeledEdge("Run", "In", R.USED),
+        LabeledEdge("Out", "Run", R.WAS_GENERATED_BY),
+        LabeledEdge("Out", "In", R.WAS_ASSOCIATED_WITH),
+    }
+    event = extract_event(ProvGraph(vertices, edges), "Run").subgraph
+    assert event.edges == edges
+    with pytest.raises(InvalidGraphError):
+        evaluate(entries["p1"].bound(), event)
 
 
 # ---------------------------------------------------------------------------

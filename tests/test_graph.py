@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,8 @@ from acdc_prov.graph import (
     VertexKind,
     union,
 )
+from acdc_prov.events import extract_event, slice_by_agent
+from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
 from randgen import random_graph
 
 K = VertexKind
@@ -288,6 +292,99 @@ def test_union_rejects_cross_graph_cycles():
     )
     with pytest.raises(CycleIntroducedError):
         union(a, b)
+
+
+# ---------------------------------------------------------------------------
+# read-only values, validated once
+# ---------------------------------------------------------------------------
+
+
+def _graph_with_attrs() -> ProvGraph:
+    g = ProvGraph()
+    for vid, kind in (
+        ("Run", K.ACTIVITY),
+        ("Out", K.DATA_ENTITY),
+        ("m1", K.NODE_AGENT),
+        ("Bob", K.ACCOUNT_AGENT),
+    ):
+        g = g.add_vertex(vid, kind, {"display": vid.lower()})
+    g = g.add_edge("Out", "Run", R.WAS_GENERATED_BY)
+    g = g.add_edge("Out", "Bob", R.WAS_ATTRIBUTED_TO)
+    g = g.add_edge("Run", "m1", R.WAS_ASSOCIATED_WITH)
+    return g.add_edge("m1", "Bob", R.ACTED_ON_BEHALF_OF)
+
+
+_GRAPH_SOURCES = {
+    "empty": lambda: ProvGraph(),
+    "constructor": lambda: ProvGraph({"Run": Vertex("Run", K.ACTIVITY, {"display": "run"})}),
+    "add_vertex": _graph_with_attrs,
+    "load_graph": lambda: load_graph(save_graph(_graph_with_attrs())),
+    "load_graph_unchecked": lambda: load_graph_unchecked(save_graph(_graph_with_attrs())),
+    "union": lambda: union(
+        _graph_with_attrs(), ProvGraph().add_vertex("Bob", K.ACCOUNT_AGENT, {"x": "y"})
+    ),
+    "renamed": lambda: _graph_with_attrs().renamed({"Bob": "Alice"}),
+    "extract_event": lambda: extract_event(_graph_with_attrs(), "Run").subgraph,
+    "slice_by_agent": lambda: slice_by_agent(_graph_with_attrs(), "Bob"),
+}
+
+
+@pytest.mark.parametrize("make", _GRAPH_SOURCES.values(), ids=_GRAPH_SOURCES.keys())
+def test_graphs_are_read_only(make):
+    graph = make()
+    before = save_graph(graph)
+    with pytest.raises(TypeError):
+        graph.vertices["Intruder"] = Vertex("Intruder", K.ACTIVITY)
+    for vertex in graph.vertices.values():
+        assert vertex.attrs
+        with pytest.raises(TypeError):
+            vertex.attrs["display"] = "changed"
+    assert save_graph(graph) == before
+
+
+def test_graphs_keep_private_copies_of_their_inputs():
+    attrs = {"display": "first"}
+    vertices = {"x": Vertex("x", K.DATA_ENTITY, attrs), "y": Vertex("y", K.DATA_ENTITY)}
+    edges = {LabeledEdge("x", "y", R.WAS_DERIVED_FROM)}
+    graph = ProvGraph(vertices, edges)
+    added = ProvGraph().add_vertex("z", K.DATA_ENTITY, attrs)
+    attrs["display"] = "second"
+    vertices["w"] = vertices.pop("y")
+    edges.add(LabeledEdge("y", "x", R.WAS_DERIVED_FROM))
+    assert set(graph.vertices) == {"x", "y"}
+    assert graph.vertices["x"].attrs == {"display": "first"}
+    assert added.vertices["z"].attrs == {"display": "first"}
+    assert graph.edges == frozenset({LabeledEdge("x", "y", R.WAS_DERIVED_FROM)})
+    assert isinstance(graph.edges, frozenset)
+
+
+def test_validation_reports_are_fresh_lists():
+    vertices = {
+        "a": Vertex("a", K.NODE_AGENT),
+        "b": Vertex("b", K.NODE_AGENT),
+        "x": Vertex("x", K.DATA_ENTITY),
+        "y": Vertex("y", K.DATA_ENTITY),
+    }
+    edges = {
+        LabeledEdge("a", "b", R.USED),
+        LabeledEdge("x", "y", R.WAS_DERIVED_FROM),
+        LabeledEdge("y", "x", R.WAS_DERIVED_FROM),
+    }
+    graph = ProvGraph(vertices, edges)
+    graph.validate_typing().clear()
+    graph.validate_acyclic().append(("a",))
+    violations = graph.validate_typing()
+    assert [(v.src, v.dst) for v in violations] == [("a", "b")]
+    assert graph.validate_acyclic() == [("x", "y")]
+
+
+def test_read_only_graphs_still_copy_and_pickle(alice_trace):
+    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY, {"display": "memo"})
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert twin == graph
+        assert save_graph(twin) == save_graph(graph)
+        with pytest.raises(TypeError):
+            twin.vertices["Note"].attrs["display"] = "changed"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """The benchmark harness still runs, and every answer it checks is right.
 
-One short pass of each benchmarked workload, run as the benchmark runs
-it: ``perfbench/run.py`` from the repository root. The harness checks each
+One short pass of each workload, run as the benchmark runs it:
+``perfbench/run.py`` from the repository root. The harness checks each
 slice, verdict, witness and counterexample against the ground truth of
-its generated history, and its last output line reports the outcome.
+its generated history; ``ingest`` also checks the error class and record
+index of each injected cycle or typing fault, byte-exact saves and both
+validation reports, and ``cli`` the exit codes and output of ``check`` and
+all four scenarios run as subprocesses. Its last output line reports the
+outcome.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["gate", "audit"])
+@pytest.mark.parametrize("workload", ["gate", "audit", "ingest", "cli"])
 def test_one_pass_of_the_benchmark_is_correct(workload):
     command = [sys.executable, "perfbench/run.py", "--workload", workload]
     command += ["--seed", "1", "--seconds", "0.1", "--trace", "0"]
