@@ -1,8 +1,8 @@
 """Regenerate the packaged corpus data files from the in-code builders.
 
 Run from the repository root after changing the builders or the policy
-corpus; the test suite asserts that the shipped files match the builders
-byte for byte.
+corpus; the test suite asserts that ``render()`` reproduces every shipped
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -41,19 +41,26 @@ SUMMARIES = {
 }
 
 
-def main() -> None:
-    CORPUS_DIR.mkdir(exist_ok=True)
-    for name, graph in sorted(corpus_graphs().items()):
-        (CORPUS_DIR / f"{name}.json").write_bytes(save_graph(graph))
+def render() -> dict[str, bytes]:
+    """Every corpus file, by name, as the builders produce it."""
+    files = {
+        f"{name}.json": save_graph(graph)
+        for name, graph in sorted(corpus_graphs().items())
+    }
     for entry in corpus():
         text = f"# {entry.name}: {SUMMARIES[entry.name]}\n{entry.source}\n"
-        (CORPUS_DIR / f"{entry.name}.pol").write_text(text, encoding="utf-8")
-        (CORPUS_DIR / f"{entry.name}.env.json").write_bytes(
-            save_environment(entry.environment)
-        )
-    (CORPUS_DIR / "blacklist_bob.env.json").write_bytes(
-        save_environment(Environment(sets={"blacklist": frozenset({"Bob"})}))
+        files[f"{entry.name}.pol"] = text.encode("utf-8")
+        files[f"{entry.name}.env.json"] = save_environment(entry.environment)
+    files["blacklist_bob.env.json"] = save_environment(
+        Environment(sets={"blacklist": frozenset({"Bob"})})
     )
+    return files
+
+
+def main() -> None:
+    CORPUS_DIR.mkdir(exist_ok=True)
+    for name, data in render().items():
+        (CORPUS_DIR / name).write_bytes(data)
     files = sorted(p.name for p in CORPUS_DIR.iterdir())
     print(f"wrote {len(files)} files to {CORPUS_DIR}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "VertexKind",
@@ -51,6 +51,11 @@ class VertexKind(Enum):
     ACCOUNT_AGENT = "account_agent"
     ACTIVITY = "activity"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # avoids Enum.__hash__, a Python-level call paid by every edge hash and
+    # typing-table lookup.
+    __hash__ = object.__hash__
+
 
 class Sort(Enum):
     """Quantification sorts: the six kinds plus their natural unions."""
@@ -64,6 +69,8 @@ class Sort(Enum):
     ENTITY = "entity"
     AGENT = "agent"
     VERTEX = "vertex"
+
+    __hash__ = object.__hash__
 
     def admits(self, kind: VertexKind) -> bool:
         """Return True when a vertex of ``kind`` belongs to this sort."""
@@ -79,6 +86,8 @@ class RelationLabel(Enum):
     ACTED_ON_BEHALF_OF = "ActedOnBehalfOf"
     WAS_ASSOCIATED_WITH = "WasAssociatedWith"
     WAS_GENERATED_BY = "WasGeneratedBy"
+
+    __hash__ = object.__hash__
 
 
 _ENTITY_KINDS = (
@@ -216,7 +225,9 @@ class ProvGraph:
 
     Direct construction bypasses the insertion checks; graphs built through
     ``add_vertex``/``add_edge`` are always well typed and acyclic, and
-    ``validate_typing``/``validate_acyclic`` check any instance, once.
+    ``validate_typing``/``validate_acyclic`` check any instance, once. A
+    graph from ``storage.load_graph`` was checked while loading and never
+    validates again.
     """
 
     vertices: Mapping[str, Vertex] = field(default_factory=dict)
@@ -338,13 +349,14 @@ class ProvGraph:
     @cached_property
     def _typing_report(self) -> tuple[TypeViolation, ...]:
         violations = []
-        for edge in sorted(self.edges, key=lambda e: (e.src, e.dst, e.label.value)):
+        for edge in self.edges:
             src_kind = self.vertices[edge.src].kind
             dst_kind = self.vertices[edge.dst].kind
             if (src_kind, dst_kind) not in TYPING_RULES[edge.label]:
                 violations.append(
                     TypeViolation(edge.src, edge.dst, edge.label, src_kind, dst_kind)
                 )
+        violations.sort(key=lambda v: (v.src, v.dst, v.label.value))
         return tuple(violations)
 
     @cached_property
@@ -474,6 +486,67 @@ def _check_edge(
             f"{' -> '.join((src, *walk, src))}",
             cycle=(src, *walk),
         )
+
+
+def _checked_graph(
+    vertices: Mapping[str, Vertex], edges: Collection[LabeledEdge]
+) -> ProvGraph:
+    """The graph of ``vertices`` and ``edges`` if ``_check_edge`` accepts
+    every edge inserted in iteration order, with both validation reports
+    already known to be empty.
+
+    Otherwise raises the error of the first edge it rejects, its message
+    prefixed with ``edges[i]``, that edge's index in ``edges``.
+    """
+    if not _all_acceptable(vertices, edges):
+        successors: dict[str, set[str]] = {}
+        for i, edge in enumerate(edges):
+            try:
+                _check_edge(vertices, successors, edge)
+            except GraphError as exc:
+                raise _with_index(exc, f"edges[{i}]") from None
+            successors.setdefault(edge.src, set()).add(edge.dst)
+    graph = ProvGraph(vertices, edges)
+    # Every edge was accepted, so the graph is well typed and acyclic.
+    vars(graph).update(_typing_report=(), _cycle_report=())
+    return graph
+
+
+def _all_acceptable(
+    vertices: Mapping[str, Vertex], edges: Iterable[LabeledEdge]
+) -> bool:
+    """Whether every edge has both endpoints and a typing its label admits,
+    and the edges close no cycle, self-loops included: one pass over the
+    edges and one drain of Kahn's topological sort (Kahn 1962)."""
+    successors: dict[str, list[str]] = {}
+    indegree = dict.fromkeys(vertices, 0)
+    for edge in edges:
+        source = vertices.get(edge.src)
+        target = vertices.get(edge.dst)
+        if (
+            source is None
+            or target is None
+            or (source.kind, target.kind) not in TYPING_RULES[edge.label]
+        ):
+            return False
+        successors.setdefault(edge.src, []).append(edge.dst)
+        indegree[edge.dst] += 1
+    ready = [vid for vid, count in indegree.items() if not count]
+    for vid in ready:
+        for nxt in successors.get(vid, ()):
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    return len(ready) == len(indegree)
+
+
+def _with_index(exc: GraphError, where: str) -> GraphError:
+    message = f"{where}: {exc}"
+    if isinstance(exc, TypeViolationError):
+        return TypeViolationError(message, exc.violation)
+    if isinstance(exc, CycleIntroducedError):
+        return CycleIntroducedError(message, exc.cycle)
+    return type(exc)(message)
 
 
 def union(*graphs: ProvGraph) -> ProvGraph:

@@ -22,15 +22,12 @@ import json
 from typing import Any
 
 from .graph import (
-    GraphError,
-    CycleIntroducedError,
     LabeledEdge,
     ProvGraph,
     RelationLabel,
-    TypeViolationError,
     Vertex,
     VertexKind,
-    _check_edge,
+    _checked_graph,
 )
 from .evaluator import Verdict
 from .policy import Environment
@@ -97,81 +94,71 @@ def _parse_graph_document(
     if not isinstance(raw_edges, list):
         raise MalformedDocumentError("'edges' must be a list")
 
+    # This loop runs once per record, so it formats a record's position only
+    # when raising, and looks names up in each enum's own value map rather
+    # than through the slower ``VertexKind(name)`` call.
+    kinds = VertexKind._value2member_map_
     vertices: dict[str, Vertex] = {}
     for i, record in enumerate(raw_vertices):
-        where = f"vertices[{i}]"
         if not isinstance(record, dict):
-            raise MalformedDocumentError(f"{where}: must be an object")
+            raise MalformedDocumentError(f"vertices[{i}]: must be an object")
         vid = record.get("id")
         if not isinstance(vid, str) or not vid:
-            raise MalformedDocumentError(f"{where}: 'id' must be a non-empty string")
+            raise MalformedDocumentError(
+                f"vertices[{i}]: 'id' must be a non-empty string"
+            )
         kind_name = record.get("kind")
         if not isinstance(kind_name, str):
-            raise MalformedDocumentError(f"{where}: 'kind' must be a string")
-        try:
-            kind = VertexKind(kind_name)
-        except ValueError:
-            raise UnknownKindError(f"{where}: unknown kind {kind_name!r}") from None
+            raise MalformedDocumentError(f"vertices[{i}]: 'kind' must be a string")
+        kind = kinds.get(kind_name)
+        if kind is None:
+            raise UnknownKindError(f"vertices[{i}]: unknown kind {kind_name!r}")
         attrs = record.get("attrs", {})
-        if not isinstance(attrs, dict) or not all(
+        if not isinstance(attrs, dict) or attrs and not all(
             isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
         ):
-            raise MalformedDocumentError(f"{where}: 'attrs' must map strings to strings")
+            raise MalformedDocumentError(
+                f"vertices[{i}]: 'attrs' must map strings to strings"
+            )
         if vid in vertices:
-            raise MalformedDocumentError(f"{where}: duplicate vertex id {vid!r}")
+            raise MalformedDocumentError(f"vertices[{i}]: duplicate vertex id {vid!r}")
         vertices[vid] = Vertex(vid, kind, attrs)
 
+    labels = RelationLabel._value2member_map_
     edges: dict[LabeledEdge, None] = {}  # in document order
     for i, record in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(record, dict):
-            raise MalformedDocumentError(f"{where}: must be an object")
+            raise MalformedDocumentError(f"edges[{i}]: must be an object")
         src = record.get("src")
         dst = record.get("dst")
         if not isinstance(src, str) or not isinstance(dst, str):
-            raise MalformedDocumentError(f"{where}: 'src' and 'dst' must be strings")
+            raise MalformedDocumentError(
+                f"edges[{i}]: 'src' and 'dst' must be strings"
+            )
         label_name = record.get("label")
         if not isinstance(label_name, str):
-            raise MalformedDocumentError(f"{where}: 'label' must be a string")
-        try:
-            label = RelationLabel(label_name)
-        except ValueError:
-            raise UnknownLabelError(f"{where}: unknown label {label_name!r}") from None
-        edge = LabeledEdge(src, dst, label)
-        if edge in edges:
+            raise MalformedDocumentError(f"edges[{i}]: 'label' must be a string")
+        label = labels.get(label_name)
+        if label is None:
+            raise UnknownLabelError(f"edges[{i}]: unknown label {label_name!r}")
+        count = len(edges)
+        edges[LabeledEdge(src, dst, label)] = None
+        if len(edges) == count:
             raise MalformedDocumentError(
-                f"{where}: duplicate edge {src} -> {dst} ({label_name})"
+                f"edges[{i}]: duplicate edge {src} -> {dst} ({label_name})"
             )
-        edges[edge] = None
 
     return vertices, edges
-
-
-def _with_index(exc: GraphError, where: str) -> GraphError:
-    message = f"{where}: {exc}"
-    if isinstance(exc, TypeViolationError):
-        return TypeViolationError(message, exc.violation)
-    if isinstance(exc, CycleIntroducedError):
-        return CycleIntroducedError(message, exc.cycle)
-    return type(exc)(message)
 
 
 def load_graph(data: bytes | str) -> ProvGraph:
     """Parse a graph document and check each edge record, in document
     order, as ``ProvGraph.add_edge`` would insert it; the result is always
-    well typed and acyclic.
+    well typed and acyclic, and already known to be.
 
     Construction errors are re-raised with the offending record index.
     """
-    vertices, edges = _parse_graph_document(data)
-    successors: dict[str, set[str]] = {}
-    for i, edge in enumerate(edges):
-        try:
-            _check_edge(vertices, successors, edge)
-        except GraphError as exc:
-            raise _with_index(exc, f"edges[{i}]") from None
-        successors.setdefault(edge.src, set()).add(edge.dst)
-    return ProvGraph(vertices, frozenset(edges))
+    return _checked_graph(*_parse_graph_document(data))
 
 
 def load_graph_unchecked(data: bytes | str) -> ProvGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from acdc_prov.policy import (
     pretty_print,
 )
 from acdc_prov.scenarios import corpus, corpus_graphs
+from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
 from randgen import (
     SORTS,
     VAR_NAMES,
@@ -224,20 +226,52 @@ def test_invalid_graph_error_carries_details(entries):
     assert err.value.violations
 
 
-def test_a_graph_is_validated_once_across_evaluations(entries, alice_trace, monkeypatch):
-    searches = []
+@pytest.fixture
+def validations(monkeypatch):
+    """The graphs whose cycle report and whose typing report get computed,
+    one list each, in call order."""
+    searches, typings = [], []
     search = ProvGraph._strongly_connected
+    typing = ProvGraph.__dict__["_typing_report"].func
 
-    def counting(self, successors):
+    def counting_search(self, successors):
         searches.append(self)
         return search(self, successors)
 
-    monkeypatch.setattr(ProvGraph, "_strongly_connected", counting)
+    def counting_typing(self):
+        typings.append(self)
+        return typing(self)
+
+    report = cached_property(counting_typing)
+    report.__set_name__(ProvGraph, "_typing_report")
+    monkeypatch.setattr(ProvGraph, "_strongly_connected", counting_search)
+    monkeypatch.setattr(ProvGraph, "_typing_report", report)
+    return searches, typings
+
+
+def test_a_graph_is_validated_once_across_evaluations(entries, alice_trace, validations):
     graph = ProvGraph(alice_trace.vertices, alice_trace.edges)  # not yet validated
     bound = _bound(entries, "receipt_attributed")
     verdicts = [evaluate(bound, graph) for _ in range(3)]
-    assert len(searches) == 1 and searches[0] is graph
+    for computed in validations:
+        assert len(computed) == 1 and computed[0] is graph
     assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+@pytest.mark.parametrize(
+    "load, expected",
+    [(load_graph, 0), (load_graph_unchecked, 1)],  # load_graph checked it already
+    ids=["load_graph", "load_graph_unchecked"],
+)
+def test_loaded_graphs_validate_only_when_unchecked(
+    entries, alice_trace, validations, load, expected
+):
+    graph = load(save_graph(alice_trace))
+    bound = _bound(entries, "receipt_attributed")
+    verdicts = [evaluate(bound, graph) for _ in range(3)]
+    for computed in validations:
+        assert len(computed) == expected and all(g is graph for g in computed)
+    assert verdicts == [evaluate(bound, alice_trace)] * 3
 
 
 @pytest.mark.parametrize("broken", [_badly_typed_graph, _cyclic_graph])

@@ -199,6 +199,28 @@ def test_validate_typing_reports_forced_violation():
     assert "WasAssociatedWith" in violations[0].describe()
 
 
+def test_validate_typing_lists_violations_by_src_dst_label():
+    # One vertex per kind and every labeled edge between two of them: the
+    # report holds exactly the edges the table refuses, in sorted order,
+    # whatever order the edge set iterates in.
+    vertices = {kind.value: Vertex(kind.value, kind) for kind in K}
+    edges = frozenset(
+        LabeledEdge(s.value, t.value, label)
+        for s in K
+        for t in K
+        for label in R
+        if s is not t
+    )
+    violations = ProvGraph(vertices, edges).validate_typing()
+    refused = [
+        (e.src, e.dst, e.label)
+        for e in sorted(edges, key=lambda e: (e.src, e.dst, e.label.value))
+        if (vertices[e.src].kind, vertices[e.dst].kind) not in TYPING_RULES[e.label]
+    ]
+    assert len(refused) > 100
+    assert [(v.src, v.dst, v.label) for v in violations] == refused
+
+
 def test_validate_acyclic_reports_forced_cycle():
     vertices = {
         "x": Vertex("x", K.DATA_ENTITY),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -16,12 +18,17 @@ from hypothesis import given, strategies as st
 import acdc_prov
 from acdc_prov.evaluator import evaluate
 from acdc_prov.graph import (
+    TYPING_RULES,
     CycleIntroducedError,
+    GraphError,
+    LabeledEdge,
     MissingVertexError,
     ProvGraph,
     RelationLabel,
     TypeViolationError,
+    Vertex,
     VertexKind,
+    _check_edge,
 )
 from acdc_prov.policy import Environment, parse_policy
 from acdc_prov.scenarios import corpus, corpus_graphs
@@ -37,7 +44,9 @@ from acdc_prov.storage import (
     save_graph,
     verdict_to_dict,
 )
-from randgen import random_graph
+from randgen import LABELS, random_graph, random_graph_with_order
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = """\
 {
@@ -120,6 +129,28 @@ def test_round_trip_preserves_random_graphs(seed):
     data = save_graph(graph)
     assert load_graph(data) == graph
     assert save_graph(load_graph(data)) == data
+
+
+def _module_at(path: Path):
+    """Import the standalone script or module at ``path``."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[path.stem] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_round_trip_at_population_scale():
+    population = _module_at(ROOT / "perfbench" / "population.py")
+    history = population.build_history(random.Random(5), voters=600, owners=30)
+    assert history.size[0] >= 8000
+    doc = history.document()  # canonical, written straight from its records
+    graph = load_graph(doc)
+    assert save_graph(graph) == doc
+    unchecked = load_graph_unchecked(doc)
+    assert graph == unchecked
+    assert unchecked.validate_typing() == [] and unchecked.validate_acyclic() == []
+    assert graph.validate_typing() == [] and graph.validate_acyclic() == []
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +317,174 @@ def test_unchecked_load_defers_typing_to_validation():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass checked load agrees with checking record by record
+# ---------------------------------------------------------------------------
+
+
+def _load_graph_per_record(data: str) -> ProvGraph:
+    """The oracle: each edge record checked in document order, as
+    ``add_edge`` would insert it, each error prefixed with its index. The
+    documents are well-formed, so records are read without checks."""
+    doc = json.loads(data)
+    vertices = {
+        r["id"]: Vertex(r["id"], VertexKind(r["kind"]), r.get("attrs", {}))
+        for r in doc["vertices"]
+    }
+    edges = [
+        LabeledEdge(r["src"], r["dst"], RelationLabel(r["label"])) for r in doc["edges"]
+    ]
+    successors: dict[str, set[str]] = {}
+    for i, edge in enumerate(edges):
+        try:
+            _check_edge(vertices, successors, edge)
+        except TypeViolationError as exc:
+            raise TypeViolationError(f"edges[{i}]: {exc}", exc.violation) from None
+        except CycleIntroducedError as exc:
+            raise CycleIntroducedError(f"edges[{i}]: {exc}", exc.cycle) from None
+        except GraphError as exc:
+            raise type(exc)(f"edges[{i}]: {exc}") from None
+        successors.setdefault(edge.src, set()).add(edge.dst)
+    return ProvGraph(vertices, edges)
+
+
+_FAULTS = ("missing", "typing", "self_loop", "cycle")
+
+
+def _faulty_document(seed: int) -> tuple[str, list[str]]:
+    """A random graph's document, edges in shuffled order, with 0-3
+    injected bad edges at random positions; every fourth seed gets a
+    cycle-closing edge and a typing fault instead, in either order. Returns
+    the document and the kinds of the faults injected."""
+    rng = random.Random(seed)
+    graph, order = random_graph_with_order(rng, max_vertices=16, min_vertices=3)
+    kinds = {vid: graph.vertices[vid].kind for vid in order}
+    edges = sorted((e.src, e.dst, e.label) for e in graph.edges)
+    rng.shuffle(edges)
+    reach = {vid: set() for vid in order}  # edges run forward along ``order``
+    for vid in reversed(order):
+        for src, dst, _ in edges:
+            if src == vid:
+                reach[vid] |= {dst} | reach[dst]
+    if seed % 4 == 0:
+        faults = rng.sample(["cycle", "typing"], 2)
+    else:
+        faults = [rng.choice(_FAULTS) for _ in range(rng.randint(0, 3))]
+    injected = []
+    for fault in faults:
+        if fault == "missing":
+            vid = rng.choice(order)
+            bad = rng.choice([(vid, "ghost"), ("ghost", vid)]) + (rng.choice(LABELS),)
+        elif fault == "typing":
+            candidates = [
+                (a, b, label)
+                for a in order
+                for b in order
+                for label in LABELS
+                if a != b and (kinds[a], kinds[b]) not in TYPING_RULES[label]
+            ]
+            bad = rng.choice(candidates)
+        elif fault == "self_loop":
+            vid = rng.choice(order)
+            admitted = [l for l in LABELS if (kinds[vid],) * 2 in TYPING_RULES[l]]
+            bad = (vid, vid, rng.choice(admitted or LABELS))
+        else:
+            candidates = [
+                (b, a, label)
+                for a in order
+                for b in sorted(reach[a])
+                for label in LABELS
+                if (kinds[b], kinds[a]) in TYPING_RULES[label]
+            ]
+            if not candidates:
+                continue
+            bad = rng.choice(candidates)
+        if bad in edges:
+            continue
+        edges.insert(rng.randint(0, len(edges)), bad)
+        injected.append(fault)
+    records = [
+        {"src": src, "dst": dst, "label": label.value} for src, dst, label in edges
+    ]
+    vertices = [{"id": vid, "kind": kinds[vid].value} for vid in order]
+    return _doc(vertices, records), injected
+
+
+def _outcome(load, data: str):
+    try:
+        return save_graph(load(data)).decode("utf-8")
+    except GraphError as exc:
+        return [
+            type(exc).__name__,
+            str(exc),
+            list(getattr(exc, "cycle", ())),
+            repr(getattr(exc, "violation", None)),
+        ]
+
+
+def load_graph_differential(seeds: range) -> dict:
+    """Load each seed's faulty document through ``load_graph`` and the
+    oracle. Reports the seeds where they differ, a digest of every outcome,
+    and how often each fault kind was injected and each error raised."""
+    mismatches, outcomes = [], []
+    counts = dict.fromkeys(_FAULTS, 0)
+    for seed in seeds:
+        data, injected = _faulty_document(seed)
+        for fault in injected:
+            counts[fault] += 1
+        got = _outcome(load_graph, data)
+        if got != _outcome(_load_graph_per_record, data):
+            mismatches.append(seed)
+        if isinstance(got, str):
+            graph = load_graph(data)
+            fresh = ProvGraph(graph.vertices, graph.edges)
+            if graph.validate_typing() or fresh.validate_typing():
+                mismatches.append(seed)
+            if graph.validate_acyclic() or fresh.validate_acyclic():
+                mismatches.append(seed)
+            counts["accepted"] = counts.get("accepted", 0) + 1
+        else:
+            counts[got[0]] = counts.get(got[0], 0) + 1
+            if seed % 4 == 0:  # a cycle and a typing fault: the first wins
+                counts[f"pair:{got[0]}"] = counts.get(f"pair:{got[0]}", 0) + 1
+        outcomes.append(got)
+    digest = hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    return {"mismatches": mismatches, "digest": digest, "counts": counts}
+
+
+def test_checked_load_matches_the_per_record_oracle_under_two_hash_seeds():
+    # Enum and string hashes, and so set and dict orders inside the check,
+    # change with the hash seed; every outcome must not.
+    script = (
+        "import json\n"
+        "from test_storage import load_graph_differential\n"
+        "print(json.dumps(load_graph_differential(range(320))))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append(json.loads(result.stdout))
+    for report in reports:
+        assert report["mismatches"] == []
+        counts = report["counts"]
+        assert all(counts[fault] >= 40 for fault in _FAULTS), counts
+        for outcome in ("accepted", "MissingVertexError", "TypeViolationError",
+                        "CycleIntroducedError"):
+            assert counts.get(outcome, 0) >= 20, counts
+        assert counts.get("pair:CycleIntroducedError", 0) >= 10, counts
+        assert counts.get("pair:TypeViolationError", 0) >= 10, counts
+    assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
 # environments
 # ---------------------------------------------------------------------------
 
@@ -368,6 +567,20 @@ def test_packaged_environments_match_their_defaults():
     for entry in corpus():
         data = _corpus_file(f"{entry.name}.env.json")
         assert load_environment(data) == entry.environment, entry.name
+
+
+def test_corpus_script_renders_every_shipped_file_byte_for_byte():
+    script = _module_at(ROOT / "scripts" / "build_corpus_data.py")
+    shipped = {
+        path.name: path.read_bytes()
+        for path in (ROOT / "src" / "acdc_prov" / "corpus").iterdir()
+        if path.is_file()
+    }
+    rendered = script.render()
+    assert len(rendered) == 44
+    assert sorted(rendered) == sorted(shipped)
+    for name, data in rendered.items():
+        assert data == shipped[name], name
 
 
 def test_packaged_blacklist_example():
