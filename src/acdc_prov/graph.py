@@ -14,6 +14,7 @@ comparison and lookup are by id; ``attrs`` are display metadata only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,10 +72,6 @@ class Sort(Enum):
     VERTEX = "vertex"
 
     __hash__ = object.__hash__
-
-    def admits(self, kind: VertexKind) -> bool:
-        """Return True when a vertex of ``kind`` belongs to this sort."""
-        return kind in SORT_KINDS[self]
 
 
 class RelationLabel(Enum):
@@ -225,8 +222,9 @@ class ProvGraph:
 
     Direct construction bypasses the insertion checks; graphs built through
     ``add_vertex``/``add_edge`` are always well typed and acyclic, and
-    ``validate_typing``/``validate_acyclic`` check any instance, once. A
-    graph from ``storage.load_graph`` was checked while loading and never
+    ``validate_typing``/``validate_acyclic`` check any instance, once, and
+    raise MissingVertexError for an edge whose endpoint is absent. A graph
+    from ``storage.load_graph`` was checked while loading and never
     validates again.
     """
 
@@ -336,7 +334,7 @@ class ProvGraph:
 
     def validate_typing(self) -> list[TypeViolation]:
         """Return one TypeViolation per edge not admitted by its label."""
-        return list(self._typing_report)
+        return list(self._report[0])
 
     def validate_acyclic(self) -> list[Cycle]:
         """Return every directed cycle, one representative per strongly
@@ -344,80 +342,22 @@ class ProvGraph:
 
         A component's representative is the shortest closed walk through
         its smallest id, the lexicographically first if several tie."""
-        return list(self._cycle_report)
+        return list(self._report[1])
 
     @cached_property
-    def _typing_report(self) -> tuple[TypeViolation, ...]:
-        violations = []
-        for edge in self.edges:
-            src_kind = self.vertices[edge.src].kind
-            dst_kind = self.vertices[edge.dst].kind
-            if (src_kind, dst_kind) not in TYPING_RULES[edge.label]:
-                violations.append(
-                    TypeViolation(edge.src, edge.dst, edge.label, src_kind, dst_kind)
-                )
-        violations.sort(key=lambda v: (v.src, v.dst, v.label.value))
-        return tuple(violations)
-
-    @cached_property
-    def _cycle_report(self) -> tuple[Cycle, ...]:
-        successors = _successors(self.edges)
+    def _report(self) -> tuple[tuple[TypeViolation, ...], tuple[Cycle, ...]]:
+        """Both reports from one ``_scan``. Tarjan's search runs only if its
+        Kahn drain leaves vertices, and only over those: every cycle lies
+        among them."""
+        violations, successors, undrained = _scan(self.vertices, self.edges)
         cycles: list[Cycle] = []
-        for component in self._strongly_connected(successors):
-            start = min(component)
-            if len(component) > 1 or start in successors.get(start, ()):
-                cycles.append(_walk(successors, start, start))
-        return tuple(sorted(cycles, key=lambda c: (min(c), len(c), c)))
-
-    def _strongly_connected(
-        self, successors: Mapping[str, set[str]]
-    ) -> list[list[str]]:
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[list[str]] = []
-        counter = 0
-        for root in sorted(self.vertices):
-            if root in index:
-                continue
-            work: list[tuple[str, Iterator[str]]] = [
-                (root, iter(successors.get(root, ())))
-            ]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                vid, neighbours = work[-1]
-                pushed = False
-                for nxt in neighbours:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(successors.get(nxt, ()))))
-                        pushed = True
-                        break
-                    if nxt in on_stack:
-                        low[vid] = min(low[vid], index[nxt])
-                if pushed:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[vid])
-                if low[vid] == index[vid]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == vid:
-                            break
-                    components.append(component)
-        return components
+        if undrained:
+            for component in _strongly_connected(undrained, successors):
+                start = min(component)
+                if len(component) > 1 or start in successors.get(start, ()):
+                    cycles.append(_walk(successors, start, start))
+        cycles.sort(key=lambda c: (min(c), len(c), c))
+        return tuple(violations), tuple(cycles)
 
 
 def _successors(edges: Iterable[LabeledEdge]) -> dict[str, set[str]]:
@@ -429,7 +369,7 @@ def _successors(edges: Iterable[LabeledEdge]) -> dict[str, set[str]]:
 
 
 def _walk(
-    successors: Mapping[str, set[str]], origin: str, target: str
+    successors: Mapping[str, Collection[str]], origin: str, target: str
 ) -> tuple[str, ...] | None:
     """The shortest walk ``origin .. v`` such that ``v -> target`` is an edge,
     or None; a closed walk when ``origin == target``.
@@ -488,47 +428,25 @@ def _check_edge(
         )
 
 
-def _checked_graph(
-    vertices: Mapping[str, Vertex], edges: Collection[LabeledEdge]
-) -> ProvGraph:
-    """The graph of ``vertices`` and ``edges`` if ``_check_edge`` accepts
-    every edge inserted in iteration order, with both validation reports
-    already known to be empty.
-
-    Otherwise raises the error of the first edge it rejects, its message
-    prefixed with ``edges[i]``, that edge's index in ``edges``.
-    """
-    if not _all_acceptable(vertices, edges):
-        successors: dict[str, set[str]] = {}
-        for i, edge in enumerate(edges):
-            try:
-                _check_edge(vertices, successors, edge)
-            except GraphError as exc:
-                raise _with_index(exc, f"edges[{i}]") from None
-            successors.setdefault(edge.src, set()).add(edge.dst)
-    graph = ProvGraph(vertices, edges)
-    # Every edge was accepted, so the graph is well typed and acyclic.
-    vars(graph).update(_typing_report=(), _cycle_report=())
-    return graph
-
-
-def _all_acceptable(
+def _scan(
     vertices: Mapping[str, Vertex], edges: Iterable[LabeledEdge]
-) -> bool:
-    """Whether every edge has both endpoints and a typing its label admits,
-    and the edges close no cycle, self-loops included: one pass over the
-    edges and one drain of Kahn's topological sort (Kahn 1962)."""
+) -> tuple[list[TypeViolation], dict[str, list[str]], list[str]]:
+    """One pass over ``edges`` and one Kahn drain (Kahn 1962): the typing
+    violations, sorted, and successor lists, and the vertices the drain
+    leaves, those on or downstream of a directed cycle. A dangling edge
+    raises the MissingVertexError of ``_check_edge``."""
+    violations: list[TypeViolation] = []
     successors: dict[str, list[str]] = {}
     indegree = dict.fromkeys(vertices, 0)
     for edge in edges:
         source = vertices.get(edge.src)
         target = vertices.get(edge.dst)
-        if (
-            source is None
-            or target is None
-            or (source.kind, target.kind) not in TYPING_RULES[edge.label]
-        ):
-            return False
+        if source is None or target is None:
+            _check_edge(vertices, {}, edge)
+        if (source.kind, target.kind) not in TYPING_RULES[edge.label]:
+            violations.append(
+                TypeViolation(edge.src, edge.dst, edge.label, source.kind, target.kind)
+            )
         successors.setdefault(edge.src, []).append(edge.dst)
         indegree[edge.dst] += 1
     ready = [vid for vid, count in indegree.items() if not count]
@@ -537,16 +455,95 @@ def _all_acceptable(
             indegree[nxt] -= 1
             if not indegree[nxt]:
                 ready.append(nxt)
-    return len(ready) == len(indegree)
+    violations.sort(key=lambda v: (v.src, v.dst, v.label.value))
+    return violations, successors, [vid for vid, count in indegree.items() if count]
 
 
-def _with_index(exc: GraphError, where: str) -> GraphError:
-    message = f"{where}: {exc}"
-    if isinstance(exc, TypeViolationError):
-        return TypeViolationError(message, exc.violation)
-    if isinstance(exc, CycleIntroducedError):
-        return CycleIntroducedError(message, exc.cycle)
-    return type(exc)(message)
+def _strongly_connected(
+    vertex_ids: Iterable[str], successors: Mapping[str, Collection[str]]
+) -> list[list[str]]:
+    """The strongly connected components (Tarjan 1972) of the subgraph on
+    ``vertex_ids``, which must hold every successor of its members."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = 0
+    for root in sorted(vertex_ids):
+        if root in index:
+            continue
+        work: list[tuple[str, Iterator[str]]] = [
+            (root, iter(successors.get(root, ())))
+        ]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            vid, neighbours = work[-1]
+            pushed = False
+            for nxt in neighbours:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors.get(nxt, ()))))
+                    pushed = True
+                    break
+                if nxt in on_stack:
+                    low[vid] = min(low[vid], index[nxt])
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[vid])
+            if low[vid] == index[vid]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == vid:
+                        break
+                components.append(component)
+    return components
+
+
+def _checked_graph(
+    vertices: Mapping[str, Vertex], edges: Collection[LabeledEdge]
+) -> ProvGraph:
+    """The graph of ``vertices`` and ``edges`` if ``_check_edge`` accepts
+    every edge inserted in iteration order, with both validation reports
+    already known to be empty.
+
+    Otherwise raises the error of the first edge it rejects, its message
+    prefixed with ``edges[i]``, that edge's index in ``edges``. A prefix
+    of the edges, once refused, stays refused, so a bisection finds that
+    edge in O((V+E) log E).
+    """
+    ordered = list(edges)
+
+    def refused(stop: int) -> bool:
+        try:
+            violations, _, undrained = _scan(vertices, ordered[:stop])
+        except MissingVertexError:
+            return True
+        return bool(violations or undrained)
+
+    if refused(len(ordered)):
+        first = bisect_left(range(1, len(ordered) + 1), True, key=refused)
+        try:
+            _check_edge(vertices, _successors(ordered[:first]), ordered[first])
+        except GraphError as exc:
+            exc.args = (f"edges[{first}]: {exc}",)
+            raise
+    # Not ``ordered``: a set built from a dict's keys reuses their hashes.
+    graph = ProvGraph(vertices, edges)
+    vars(graph)["_report"] = ((), ())
+    return graph
 
 
 def union(*graphs: ProvGraph) -> ProvGraph:

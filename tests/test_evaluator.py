@@ -17,8 +17,10 @@ from acdc_prov.evaluator import (
     evaluate,
     evaluate_naive,
 )
+from acdc_prov import graph as graph_module
 from acdc_prov.graph import (
     LabeledEdge,
+    MissingVertexError,
     ProvGraph,
     RelationLabel,
     Vertex,
@@ -198,11 +200,13 @@ def _cyclic_graph() -> ProvGraph:
     vertices = {
         "x": Vertex("x", VertexKind.DATA_ENTITY),
         "y": Vertex("y", VertexKind.DATA_ENTITY),
+        "z": Vertex("z", VertexKind.DATA_ENTITY),
     }
     edges = frozenset(
         {
             LabeledEdge("x", "y", RelationLabel.WAS_DERIVED_FROM),
             LabeledEdge("y", "x", RelationLabel.WAS_DERIVED_FROM),
+            LabeledEdge("z", "x", RelationLabel.WAS_DERIVED_FROM),
         }
     )
     return ProvGraph(vertices, edges)
@@ -228,33 +232,34 @@ def test_invalid_graph_error_carries_details(entries):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """The graphs whose cycle report and whose typing report get computed,
-    one list each, in call order."""
-    searches, typings = [], []
-    search = ProvGraph._strongly_connected
-    typing = ProvGraph.__dict__["_typing_report"].func
+    """The graphs whose validation report gets computed, and the vertex
+    sets Tarjan's search runs over, each in call order."""
+    reports, searches = [], []
+    compute = ProvGraph.__dict__["_report"].func
+    search = graph_module._strongly_connected
 
-    def counting_search(self, successors):
-        searches.append(self)
-        return search(self, successors)
+    def counting_report(self):
+        reports.append(self)
+        return compute(self)
 
-    def counting_typing(self):
-        typings.append(self)
-        return typing(self)
+    def counting_search(vertex_ids, successors):
+        searches.append(sorted(vertex_ids))
+        return search(vertex_ids, successors)
 
-    report = cached_property(counting_typing)
-    report.__set_name__(ProvGraph, "_typing_report")
-    monkeypatch.setattr(ProvGraph, "_strongly_connected", counting_search)
-    monkeypatch.setattr(ProvGraph, "_typing_report", report)
-    return searches, typings
+    report = cached_property(counting_report)
+    report.__set_name__(ProvGraph, "_report")
+    monkeypatch.setattr(ProvGraph, "_report", report)
+    monkeypatch.setattr(graph_module, "_strongly_connected", counting_search)
+    return reports, searches
 
 
 def test_a_graph_is_validated_once_across_evaluations(entries, alice_trace, validations):
     graph = ProvGraph(alice_trace.vertices, alice_trace.edges)  # not yet validated
     bound = _bound(entries, "receipt_attributed")
     verdicts = [evaluate(bound, graph) for _ in range(3)]
-    for computed in validations:
-        assert len(computed) == 1 and computed[0] is graph
+    reports, searches = validations
+    assert len(reports) == 1 and reports[0] is graph
+    assert searches == []  # an acyclic graph needs no cycle names
     assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
@@ -267,19 +272,41 @@ def test_loaded_graphs_validate_only_when_unchecked(
     entries, alice_trace, validations, load, expected
 ):
     graph = load(save_graph(alice_trace))
+    reports, searches = validations
+    reports.clear()
     bound = _bound(entries, "receipt_attributed")
     verdicts = [evaluate(bound, graph) for _ in range(3)]
-    for computed in validations:
-        assert len(computed) == expected and all(g is graph for g in computed)
+    assert len(reports) == expected and all(g is graph for g in reports)
+    assert searches == []
     assert verdicts == [evaluate(bound, alice_trace)] * 3
 
 
 @pytest.mark.parametrize("broken", [_badly_typed_graph, _cyclic_graph])
-def test_invalid_graph_is_rejected_on_every_call(entries, broken):
+def test_invalid_graph_is_rejected_on_every_call(entries, broken, validations):
     graph, bound = broken(), _bound(entries, "p1")
     for _ in range(3):
         with pytest.raises(InvalidGraphError):
             evaluate(bound, graph)
+    reports, searches = validations
+    assert reports == [graph]
+    # Tarjan's search names cycles once, over the vertices on them only.
+    assert searches == ([["x", "y"]] if broken is _cyclic_graph else [])
+
+
+def test_dangling_edge_is_a_missing_vertex_everywhere(entries):
+    # Direct construction skips the endpoint check; validation and
+    # evaluation both name the missing endpoint, as inserting the edge would.
+    vertices = {"a": Vertex("a", VertexKind.ACTIVITY)}
+    graph = ProvGraph(vertices, {LabeledEdge("a", "zz", RelationLabel.USED)})
+    checks = (
+        graph.validate_typing,
+        graph.validate_acyclic,
+        lambda: evaluate(_bound(entries, "p1"), graph),
+    )
+    for check in checks:
+        with pytest.raises(MissingVertexError) as err:
+            check()
+        assert str(err.value) == "edge endpoint 'zz' is not in the graph"
 
 
 def test_unscoped_variable_is_an_error_on_both_routes(encapsulation):

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,14 +24,18 @@ from acdc_prov.graph import (
     RelationLabel,
     Sort,
     TYPING_RULES,
+    TypeViolation,
     TypeViolationError,
     Vertex,
     VertexKind,
+    _walk,
     union,
 )
 from acdc_prov.events import extract_event, slice_by_agent
 from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
-from randgen import random_graph
+from randgen import random_graph, random_graph_with_order
+
+ROOT = Path(__file__).resolve().parent.parent
 
 K = VertexKind
 R = RelationLabel
@@ -407,6 +417,194 @@ def test_read_only_graphs_still_copy_and_pickle(alice_trace):
         assert save_graph(twin) == save_graph(graph)
         with pytest.raises(TypeError):
             twin.vertices["Note"].attrs["display"] = "changed"
+
+
+# ---------------------------------------------------------------------------
+# the one validation pass agrees with the separate typing and cycle reports
+# ---------------------------------------------------------------------------
+
+
+def _typing_report(graph: ProvGraph) -> list[TypeViolation]:
+    """The oracle for ``validate_typing``: every edge checked on its own."""
+    violations = []
+    for edge in graph.edges:
+        src_kind = graph.vertices[edge.src].kind
+        dst_kind = graph.vertices[edge.dst].kind
+        if (src_kind, dst_kind) not in TYPING_RULES[edge.label]:
+            violations.append(
+                TypeViolation(edge.src, edge.dst, edge.label, src_kind, dst_kind)
+            )
+    violations.sort(key=lambda v: (v.src, v.dst, v.label.value))
+    return violations
+
+
+def _tarjan(vertex_ids, successors) -> list[list[str]]:
+    """Tarjan's strongly connected components over every vertex."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = 0
+    for root in sorted(vertex_ids):
+        if root in index:
+            continue
+        work = [(root, iter(successors.get(root, ())))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            vid, neighbours = work[-1]
+            pushed = False
+            for nxt in neighbours:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors.get(nxt, ()))))
+                    pushed = True
+                    break
+                if nxt in on_stack:
+                    low[vid] = min(low[vid], index[nxt])
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[vid])
+            if low[vid] == index[vid]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == vid:
+                        break
+                components.append(component)
+    return components
+
+
+def _cycle_report(graph: ProvGraph) -> list[tuple[str, ...]]:
+    """The oracle for ``validate_acyclic``: Tarjan over the whole graph,
+    then the shortest closed walk through each cyclic component's smallest
+    id."""
+    successors: dict[str, set[str]] = {}
+    for edge in graph.edges:
+        successors.setdefault(edge.src, set()).add(edge.dst)
+    cycles = []
+    for component in _tarjan(graph.vertices, successors):
+        start = min(component)
+        if len(component) > 1 or start in successors.get(start, ()):
+            cycles.append(_walk(successors, start, start))
+    return sorted(cycles, key=lambda c: (min(c), len(c), c))
+
+
+_REPORT_FAULTS = ("typing", "self_loop", "cycle")
+
+
+def _faulty_graph(seed: int) -> tuple[ProvGraph, list[str]]:
+    """A random DAG with 0-3 injected typing edges, self-loops or
+    backward edges, each closing a cycle; returns the kinds injected."""
+    rng = random.Random(seed)
+    graph, order = random_graph_with_order(
+        rng, max_vertices=16, min_vertices=3, edge_chance=rng.uniform(0.1, 0.5)
+    )
+    kinds = {vid: graph.vertices[vid].kind for vid in order}
+    faults = []
+    for fault in rng.choices(_REPORT_FAULTS, k=rng.randint(0, 3)):
+        if fault == "typing":
+            a, b = rng.sample(order, 2)
+            labels = [l for l in R if (kinds[a], kinds[b]) not in TYPING_RULES[l]]
+        elif fault == "self_loop":
+            a = b = rng.choice(order)
+            labels = list(R)
+        else:  # backward along ``order``, admitted by the table where possible
+            i, j = sorted(rng.sample(range(len(order)), 2))
+            a, b = order[j], order[i]
+            labels = [l for l in R if (kinds[a], kinds[b]) in TYPING_RULES[l]]
+        edge = LabeledEdge(a, b, rng.choice(labels or list(R)))
+        if edge not in graph.edges:
+            graph = ProvGraph(graph.vertices, graph.edges | {edge})
+            faults.append(fault)
+    return graph, faults
+
+
+def _faulty_history() -> ProvGraph:
+    """A ~3k-vertex population history with three 2-cycles: two Used
+    edges reversed as WasGeneratedBy, well typed, and a WasAssociatedWith
+    edge reversed as Used, a typing fault. Needs ``perfbench`` on the
+    import path."""
+    import population
+
+    history = population.build_history(random.Random(7), voters=200, owners=20)
+    graph = load_graph_unchecked(history.document())
+    edges = sorted(graph.edges, key=lambda e: (e.src, e.dst, e.label.value))
+    used = [e for e in edges if e.label is R.USED]
+    associated = [e for e in edges if e.label is R.WAS_ASSOCIATED_WITH]
+    faults = {
+        LabeledEdge(e.dst, e.src, R.WAS_GENERATED_BY)
+        for e in random.Random(7).sample(used, 2)
+    }
+    faults.add(LabeledEdge(associated[0].dst, associated[0].src, R.USED))
+    return ProvGraph(graph.vertices, graph.edges | faults)
+
+
+def validation_differential(seeds: range) -> dict:
+    """Compare both validation reports with the oracles on each seed's
+    faulty graph and on a faulty population history. Reports the cases
+    where they differ, a digest of every report, and counts."""
+    mismatches, outcomes = [], []
+    counts = dict.fromkeys(_REPORT_FAULTS, 0) | {"ill_typed": 0, "cycles": [0, 0, 0]}
+    cases = [(seed, *_faulty_graph(seed)) for seed in seeds]
+    cases.append(("history", _faulty_history(), []))
+    for case, graph, faults in cases:
+        for fault in faults:
+            counts[fault] += 1
+        typing, cycles = graph.validate_typing(), graph.validate_acyclic()
+        if typing != _typing_report(graph) or cycles != _cycle_report(graph):
+            mismatches.append(case)
+        counts["ill_typed"] += bool(typing)
+        counts["cycles"][min(len(cycles), 2)] += 1
+        if case == "history":
+            counts["history"] = [len(graph.vertices), len(typing), len(cycles)]
+        outcomes.append(repr((typing, cycles)))
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    return {"mismatches": mismatches, "digest": digest, "counts": counts}
+
+
+def test_validation_matches_the_separate_reports_under_two_hash_seeds():
+    # Set and dict orders inside the pass change with the hash seed; the
+    # reports must not.
+    script = (
+        "import json\n"
+        "from test_graph import validation_differential\n"
+        "print(json.dumps(validation_differential(range(320))))\n"
+    )
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests", "perfbench"))
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append(json.loads(result.stdout))
+    for report in reports:
+        assert report["mismatches"] == []
+        counts = report["counts"]
+        assert all(counts[fault] >= 100 for fault in _REPORT_FAULTS), counts
+        no_cycle, one_cycle, several = counts["cycles"]
+        assert no_cycle >= 50 and one_cycle >= 50 and several >= 20, counts
+        assert counts["ill_typed"] >= 100, counts
+        vertices, typing, cycles = counts["history"]
+        assert vertices >= 2500 and typing == 1 and cycles == 3, counts
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

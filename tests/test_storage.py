@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import acdc_prov
+from acdc_prov import graph as graph_module
 from acdc_prov.evaluator import evaluate
 from acdc_prov.graph import (
     TYPING_RULES,
@@ -265,6 +266,58 @@ def test_cycle_reports_the_closing_edge_index():
     with pytest.raises(CycleIntroducedError, match=r"edges\[1\]") as err:
         load_graph(doc)
     assert err.value.cycle
+
+
+def _hostile_chain(last: str) -> tuple[str, list[str]]:
+    """A 4001-vertex WasDerivedFrom chain, one record per link, each link
+    added at the chain's head, so that checking record i alone searches
+    the i links before it; then one last record ``d0000 -> d4000`` with
+    label ``last``. Returns the document and the vertex ids in chain
+    order."""
+    ids = [f"d{i:04d}" for i in range(4001)]
+    records = [
+        {"src": ids[i + 1], "dst": ids[i], "label": "WasDerivedFrom"}
+        for i in range(4000)
+    ]
+    records.append({"src": ids[0], "dst": ids[-1], "label": last})
+    return _doc([{"id": vid, "kind": "data_entity"} for vid in ids], records), ids
+
+
+@pytest.mark.parametrize("last", ["Used", "WasDerivedFrom"])
+def test_hostile_load_searches_for_a_cycle_at_most_once(monkeypatch, last):
+    data, ids = _hostile_chain(last)
+    walks = []
+    walk = graph_module._walk
+
+    def counting_walk(successors, origin, target):
+        walks.append((origin, target))
+        return walk(successors, origin, target)
+
+    monkeypatch.setattr(graph_module, "_walk", counting_walk)
+    if last == "Used":
+        allowed = ", ".join(
+            sorted(f"{s.value} -> {t.value}" for s, t in TYPING_RULES[RelationLabel.USED])
+        )
+        error = TypeViolationError
+        message = (
+            f"edges[4000]: Used does not admit data_entity -> data_entity "
+            f"(edge d0000 -> d4000; allowed: {allowed})"
+        )
+    else:  # closes d0000 -> d4000 -> d3999 -> ... -> d0001 -> d0000
+        error = CycleIntroducedError
+        cycle = (ids[0], *reversed(ids[1:]))
+        message = (
+            f"edges[4000]: edge d0000 -> d4000 would close the cycle "
+            f"{' -> '.join((*cycle, ids[0]))}"
+        )
+    with pytest.raises(error) as err:
+        load_graph(data)
+    assert str(err.value) == message
+    if last == "Used":
+        assert (err.value.violation.src, err.value.violation.dst) == (ids[0], ids[-1])
+    else:
+        assert err.value.cycle == cycle
+    assert len(walks) <= 1
 
 
 _DIAMOND_CLOSED = _doc(
