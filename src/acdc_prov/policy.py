@@ -20,12 +20,16 @@ the enclosing scope, then ``=>``, ``or``, ``and``, ``not``. An identifier
 in term position is a variable when a quantifier of that name is in scope
 and a named constant otherwise; rebinding a name that is already in scope
 is an error.
+
+Parentheses, ``not`` and quantifiers nest at most 100 levels deep, each
+counting as one level: the parser recurses on each of them, and the limit
+keeps it well inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .graph import RelationLabel, Sort
 
@@ -251,12 +255,28 @@ def _tokenize(text: str) -> list[_Token]:
 # parser
 # ---------------------------------------------------------------------------
 
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
         self.scope: list[str] = []
+        self.depth = 0
+
+    def nested(self, opener: _Token, parse: Callable[[], Policy]) -> Policy:
+        """Run ``parse`` one nesting level below ``opener``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(
+                f"policy nested deeper than {_MAX_NESTING} levels",
+                opener.line,
+                opener.column,
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     @property
     def current(self) -> _Token:
@@ -314,7 +334,7 @@ class _Parser:
         self.eat(".")
         self.scope.append(name_token.value)
         try:
-            body = self.expr()
+            body = self.nested(keyword, self.expr)
         finally:
             self.scope.pop()
         node = Exists if keyword.kind == "exists" else Forall
@@ -345,10 +365,10 @@ class _Parser:
         token = self.current
         if token.kind == "not":
             self.eat("not")
-            return Not(self.unary())
+            return Not(self.nested(token, self.unary))
         if token.kind == "(":
             self.eat("(")
-            node = self.expr()
+            node = self.nested(token, self.expr)
             self.eat(")")
             return node
         if token.kind == "true":
@@ -409,7 +429,9 @@ def parse_policy(text: str) -> Policy:
     """Parse policy source text into an AST.
 
     Raises ParseError (or a subclass) with a 1-based line/column position
-    on any non-conforming input.
+    on any non-conforming input, including parentheses, ``not`` and
+    quantifiers nested more than 100 levels deep; the position is that of
+    the token that opens the 101st level.
     """
     return _Parser(_tokenize(text)).parse()
 

@@ -9,18 +9,25 @@ voter walking a fixed ballot workflow (key generation, selection,
 printing, verification, counting, receipt printing, optional exit) on a
 voting machine acting on their behalf; its policies detect double voting,
 blacklisted actors, and skipped workflow steps.
+
+The policies and their environments are the ``<name>.pol`` and
+``<name>.env.json`` files shipped in the package's ``corpus`` directory;
+``corpus()`` reads them there. The graph documents shipped beside them
+are rendered from the builders below by ``scripts/build_corpus_data.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
 from typing import Mapping, Sequence
 
 from .evaluator import evaluate
 from .events import slice_by_agent
 from .graph import ProvGraph, RelationLabel, VertexKind, union
 from .policy import BoundPolicy, Environment, bind, parse_policy
+from .storage import load_environment
 
 __all__ = [
     "VotingStep",
@@ -228,146 +235,42 @@ class CorpusPolicy:
         )
 
 
-def _identity_env(*names: str, sets: Mapping[str, frozenset[str]] | None = None) -> Environment:
-    return Environment(constants={n: n for n in names}, sets=dict(sets or {}))
+_CORPUS = resources.files(__package__).joinpath("corpus")
+
+_STEP_POLICY_NAMES = (
+    "keygen_done",
+    "select_done",
+    "print_done",
+    "verify_done",
+    "count_done",
+    "print_receipt_done",
+)
+
+_CORPUS_NAMES = (
+    *(f"p{i}" for i in range(1, 10)),
+    "encapsulate_all",
+    "receipt_attributed",
+    "blacklisted_actor",
+    *_STEP_POLICY_NAMES,
+)
 
 
-_P1 = "exists k: key_entity . edge(Encapsulate, k, Used)"
-
-_P2 = "exists d: data_entity . edge(Encapsulate, d, Used)"
-
-_P3 = """\
-forall k: key_entity .
-    edge(Encapsulate, k, Used)
-    => (edge(k, Bob, WasAttributedTo)
-        or (exists n: node_agent .
-            edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf)))"""
-
-_P4 = """\
-forall d: data_entity .
-    edge(Encapsulate, d, Used) => edge(d, Bob, WasAttributedTo)"""
-
-_P5 = "exists d: data_entity . edge(SecureCapsule, d, WasDerivedFrom)"
-
-_P6 = "exists k: key_entity . edge(SecureCapsule, k, WasDerivedFrom)"
-
-_P7 = """\
-forall k: key_entity .
-    edge(SecureCapsule, k, WasDerivedFrom)
-    => (edge(k, Bob, WasAttributedTo)
-        or (exists n: node_agent .
-            edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf)))"""
-
-_P8 = """\
-forall d: data_entity .
-    edge(SecureCapsule, d, WasDerivedFrom) => edge(d, Bob, WasAttributedTo)"""
-
-_P9 = "edge(SecureCapsule, EncapsulateContract, WasDerivedFrom)"
-
-_RECEIPT = """\
-exists d: data_entity . exists a: activity . exists v: account_agent .
-    edge(a, PrintReceiptContract, Used)
-    and edge(d, a, WasGeneratedBy)
-    and edge(d, PrintReceiptContract, WasDerivedFrom)
-    and edge(d, v, WasAttributedTo)"""
-
-_BLACKLISTED = """\
-exists b: account_agent .
-    member(b, blacklist) and (exists n: node_agent . edge(n, b, ActedOnBehalfOf))"""
-
-_COUNT_DONE = """\
-exists d: data_entity . exists a: activity . exists n: node_agent . exists v: account_agent .
-    edge(a, CountContract, Used)
-    and edge(d, a, WasGeneratedBy)
-    and edge(d, CountContract, WasDerivedFrom)
-    and edge(d, n, WasAttributedTo)
-    and edge(n, v, ActedOnBehalfOf)"""
-
-
-def _step_completion(var: str, sort: str, contract: str) -> str:
-    return (
-        f"exists {var}: {sort} . exists a: activity . exists v: account_agent .\n"
-        f"    edge(a, {contract}, Used)\n"
-        f"    and edge({var}, a, WasGeneratedBy)\n"
-        f"    and edge({var}, {contract}, WasDerivedFrom)\n"
-        f"    and edge({var}, v, WasAttributedTo)"
-    )
+def _environment(name: str) -> Environment:
+    return load_environment(_CORPUS.joinpath(f"{name}.env.json").read_bytes())
 
 
 def corpus() -> list[CorpusPolicy]:
-    """The built-in policy corpus: every entry parses and binds cleanly
-    against its default environment."""
-    encapsulation = [
-        ("p1", _P1, ("Encapsulate",)),
-        ("p2", _P2, ("Encapsulate",)),
-        ("p3", _P3, ("Encapsulate", "Bob")),
-        ("p4", _P4, ("Encapsulate", "Bob")),
-        ("p5", _P5, ("SecureCapsule",)),
-        ("p6", _P6, ("SecureCapsule",)),
-        ("p7", _P7, ("SecureCapsule", "Bob")),
-        ("p8", _P8, ("SecureCapsule", "Bob")),
-        ("p9", _P9, ("SecureCapsule", "EncapsulateContract")),
+    """The built-in policy corpus, read afresh from the package's
+    ``corpus`` directory on each call: every ``<name>.pol`` parses and
+    binds cleanly against its default ``<name>.env.json``."""
+    return [
+        CorpusPolicy(
+            name,
+            _CORPUS.joinpath(f"{name}.pol").read_text(encoding="utf-8"),
+            _environment(name),
+        )
+        for name in _CORPUS_NAMES
     ]
-    entries = [
-        CorpusPolicy(name, source, _identity_env(*constants))
-        for name, source, constants in encapsulation
-    ]
-    entries.append(
-        CorpusPolicy(
-            "encapsulate_all",
-            "\nand ".join(f"({source})" for _, source, _ in encapsulation),
-            _identity_env("Encapsulate", "Bob", "SecureCapsule", "EncapsulateContract"),
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "receipt_attributed", _RECEIPT, _identity_env("PrintReceiptContract")
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "blacklisted_actor",
-            _BLACKLISTED,
-            Environment(sets={"blacklist": frozenset()}),
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "keygen_done",
-            _step_completion("k", "key_entity", "KeyGenContract"),
-            _identity_env("KeyGenContract"),
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "select_done",
-            _step_completion("d", "data_entity", "SelectContract"),
-            _identity_env("SelectContract"),
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "print_done",
-            _step_completion("d", "data_entity", "PrintContract"),
-            _identity_env("PrintContract"),
-        )
-    )
-    entries.append(
-        CorpusPolicy(
-            "verify_done",
-            _step_completion("d", "data_entity", "VerifyContract"),
-            _identity_env("VerifyContract"),
-        )
-    )
-    entries.append(
-        CorpusPolicy("count_done", _COUNT_DONE, _identity_env("CountContract"))
-    )
-    entries.append(
-        CorpusPolicy(
-            "print_receipt_done", _RECEIPT, _identity_env("PrintReceiptContract")
-        )
-    )
-    return entries
 
 
 def corpus_by_name() -> dict[str, CorpusPolicy]:
@@ -413,22 +316,21 @@ class ScenarioCheck:
 
 def _check(
     label: str,
-    policy_name: str,
+    entry: CorpusPolicy,
     graph: ProvGraph,
     expected: bool,
     env: Environment | None = None,
 ) -> ScenarioCheck:
-    entry = corpus_by_name()[policy_name]
     verdict = evaluate(entry.bound(env), graph)
-    return ScenarioCheck(label, policy_name, expected, verdict.satisfied)
+    return ScenarioCheck(label, entry.name, expected, verdict.satisfied)
 
 
-def _scenario_encapsulate() -> list[ScenarioCheck]:
+def _scenario_encapsulate(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioCheck]:
     base = build_encapsulate_event("Bob")
     tampered = build_encapsulate_with_foreign_inputs("Bob", "Mallory")
     names = [f"p{i}" for i in range(1, 10)] + ["encapsulate_all"]
     checks = [
-        _check(f"{name} on Bob's clean encapsulation", name, base, True)
+        _check(f"{name} on Bob's clean encapsulation", entries[name], base, True)
         for name in names
     ]
     with_foreign = {
@@ -444,69 +346,58 @@ def _scenario_encapsulate() -> list[ScenarioCheck]:
         "encapsulate_all": False,
     }
     checks += [
-        _check(f"{name} with Mallory's inputs mixed in", name, tampered, expected)
+        _check(f"{name} with Mallory's inputs mixed in", entries[name], tampered, expected)
         for name, expected in with_foreign.items()
     ]
     return checks
 
 
-def _scenario_duplicate_vote() -> list[ScenarioCheck]:
+def _scenario_duplicate_vote(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioCheck]:
     completed = build_voting_trace("Alice", "m1", BALLOT_STEPS)
     in_progress = build_voting_trace("Alice", "m1", BALLOT_STEPS[:5])
     resumed = build_two_state_trace("Alice", "m1", "m2")
     return [
         _check(
             "Alice already holds a receipt: refuse a second ballot",
-            "receipt_attributed",
+            entries["receipt_attributed"],
             slice_by_agent(completed, "Alice"),
             True,
         ),
         _check(
             "no receipt printed yet: let Alice continue",
-            "receipt_attributed",
+            entries["receipt_attributed"],
             slice_by_agent(in_progress, "Alice"),
             False,
         ),
         _check(
             "receipt found across machines: refuse the resumed attempt",
-            "receipt_attributed",
+            entries["receipt_attributed"],
             slice_by_agent(resumed, "Alice"),
             True,
         ),
     ]
 
 
-def _scenario_blacklist() -> list[ScenarioCheck]:
+def _scenario_blacklist(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioCheck]:
     trace = build_voting_trace("Bob", "m1", BALLOT_STEPS)
-    listed = Environment(sets={"blacklist": frozenset({"Bob"})})
     return [
         _check(
             "Bob is blacklisted: his trace is flagged",
-            "blacklisted_actor",
+            entries["blacklisted_actor"],
             trace,
             True,
-            env=listed,
+            env=_environment("blacklist_bob"),
         ),
         _check(
             "empty blacklist: nothing to flag",
-            "blacklisted_actor",
+            entries["blacklisted_actor"],
             trace,
             False,
         ),
     ]
 
 
-_STEP_POLICY_NAMES = (
-    "keygen_done",
-    "select_done",
-    "print_done",
-    "verify_done",
-    "count_done",
-    "print_receipt_done",
-)
-
-
-def _scenario_manipulation() -> list[ScenarioCheck]:
+def _scenario_manipulation(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioCheck]:
     checks = []
     for done in range(len(BALLOT_STEPS) + 1):
         trace = build_voting_trace("Mallory", "m1", BALLOT_STEPS[:done])
@@ -514,7 +405,7 @@ def _scenario_manipulation() -> list[ScenarioCheck]:
             checks.append(
                 _check(
                     f"{name} after {done} of {len(BALLOT_STEPS)} steps",
-                    name,
+                    entries[name],
                     trace,
                     position < done,
                 )
@@ -540,4 +431,4 @@ def run_scenario(name: str) -> list[ScenarioCheck]:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return runner()
+    return runner(corpus_by_name())

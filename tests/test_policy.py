@@ -187,6 +187,40 @@ def test_error_position_spans_lines():
     assert err.value.line == 2
 
 
+# Each opener adds one nesting level; "mixed" cycles through all three in
+# an order the grammar accepts.
+_OPENERS = {
+    "parentheses": lambda i: "(",
+    "nots": lambda i: "not ",
+    "quantifiers": lambda i: f"exists x{i}: vertex . ",
+    "mixed": lambda i: ("(", f"forall x{i}: vertex . ", "not ")[i % 3],
+}
+
+
+def _nested(kind: str, depth: int) -> tuple[str, int]:
+    """A policy nested ``depth`` levels deep, and the column of its last opener."""
+    openers = [_OPENERS[kind](i) for i in range(depth)]
+    closers = ")" * openers.count("(")
+    return "".join(openers) + "true" + closers, len("".join(openers[:-1])) + 1
+
+
+@pytest.mark.parametrize("kind", _OPENERS)
+def test_nesting_up_to_the_limit_parses(kind):
+    text, _ = _nested(kind, 100)
+    ast = parse_policy(text)
+    assert parse_policy(pretty_print(ast)) == ast
+
+
+@pytest.mark.parametrize("depth", [101, 3000])
+@pytest.mark.parametrize("kind", _OPENERS)
+def test_nesting_past_the_limit_is_a_parse_error(kind, depth):
+    text, _ = _nested(kind, depth)
+    _, column = _nested(kind, 101)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as err:
+        parse_policy(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from acdc_prov import scenarios
 from acdc_prov.evaluator import evaluate
 from acdc_prov.graph import RelationLabel, VertexKind
 from acdc_prov.policy import Environment, parse_policy
@@ -185,6 +186,19 @@ def test_scenarios_pass(name, count):
     assert len(checks) == count
     for check in checks:
         assert check.ok, f"{name}: {check.label}"
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_each_scenario_reads_the_corpus_once(name, monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(name)
+        return corpus()
+
+    monkeypatch.setattr(scenarios, "corpus", counted)
+    assert all(check.ok for check in run_scenario(name))
+    assert len(calls) == 1
 
 
 def test_unknown_scenario():

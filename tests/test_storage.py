@@ -31,7 +31,7 @@ from acdc_prov.graph import (
     VertexKind,
     _check_edge,
 )
-from acdc_prov.policy import Environment, parse_policy
+from acdc_prov.policy import Environment
 from acdc_prov.scenarios import corpus, corpus_graphs
 from acdc_prov.storage import (
     FORMAT_VERSION,
@@ -597,7 +597,7 @@ def test_verdict_to_dict_shapes(entries, encapsulation):
 
 
 # ---------------------------------------------------------------------------
-# the packaged corpus is in sync with the builders
+# the packaged corpus: hand-written policies, graphs from the builders
 # ---------------------------------------------------------------------------
 
 
@@ -610,27 +610,29 @@ def test_packaged_graphs_match_their_builders():
         assert _corpus_file(f"{name}.json") == save_graph(graph), name
 
 
-def test_packaged_policies_match_their_sources():
-    for entry in corpus():
-        text = _corpus_file(f"{entry.name}.pol").decode("utf-8")
-        assert parse_policy(text) == parse_policy(entry.source), entry.name
+def test_corpus_directory_holds_exactly_the_corpus():
+    names = [entry.name for entry in corpus()]
+    assert len(names) == 18
+    expected = {f"{name}.json" for name in corpus_graphs()}
+    assert len(expected) == 7
+    for name in names:
+        expected |= {f"{name}.pol", f"{name}.env.json"}
+    expected.add("blacklist_bob.env.json")
+    shipped = resources.files("acdc_prov").joinpath("corpus")
+    assert sorted(path.name for path in shipped.iterdir()) == sorted(expected)
+    for name in names:
+        assert _corpus_file(f"{name}.pol").decode("utf-8").startswith(f"# {name}: ")
 
 
-def test_packaged_environments_match_their_defaults():
-    for entry in corpus():
-        data = _corpus_file(f"{entry.name}.env.json")
-        assert load_environment(data) == entry.environment, entry.name
-
-
-def test_corpus_script_renders_every_shipped_file_byte_for_byte():
+def test_corpus_script_renders_every_shipped_graph_byte_for_byte():
     script = _module_at(ROOT / "scripts" / "build_corpus_data.py")
     shipped = {
         path.name: path.read_bytes()
-        for path in (ROOT / "src" / "acdc_prov" / "corpus").iterdir()
-        if path.is_file()
+        for path in (ROOT / "src" / "acdc_prov" / "corpus").glob("*.json")
+        if not path.name.endswith(".env.json")
     }
     rendered = script.render()
-    assert len(rendered) == 44
+    assert len(rendered) == 7
     assert sorted(rendered) == sorted(shipped)
     for name, data in rendered.items():
         assert data == shipped[name], name
