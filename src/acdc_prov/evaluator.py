@@ -7,7 +7,12 @@ the binding left unresolved evaluate to false and contribute a diagnostic
 note. Vertex-id domains are enumerated in lexicographic order, which makes
 witnesses and counterexamples deterministic.
 
-``evaluate`` short-circuits; ``evaluate_naive`` recomputes the same
+``evaluate`` compiles the policy, once per call, into a plan of closures:
+variables and resolved constants are slots of one list, each quantifier holds
+its sorted domain, each maximal ``and``/``or``/``=>`` chain is one n-ary node.
+It short-circuits left to right as a walk of the AST would, so it tests the
+same atoms in the same order; it prunes no assignment, as that needs edge
+indexes the graph does not build yet. ``evaluate_naive`` recomputes the same
 semantics by materialising every sort domain and the full Cartesian product
 of quantified assignments without any pruning. The two must always agree --
 the naive route exists as an independent oracle for the optimised one and
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import Cycle, ProvGraph, Sort, TypeViolation
 from .policy import (
@@ -102,101 +107,110 @@ def _domain(graph: ProvGraph, sort) -> list[str]:
     return sorted(graph.vertices_of_sort(sort))
 
 
-class _Evaluator:
-    """Short-circuiting recursive evaluation with diagnostic collection."""
+class _Plan:
+    """One bound policy compiled for one graph into closures over ``slots``."""
 
     def __init__(self, policy: BoundPolicy, graph: ProvGraph):
         self.policy = policy
+        self.slots: list[str | None] = []
+        self.notes: dict[str, None] = {}  # the diagnostics, in the order reached
         self.graph = graph
-        self.diagnostics: list[str] = []
-        self._noted: set[str] = set()
-        self._domains: dict[Sort, list[str]] = {}
+        self.domains: dict[Sort, list[str]] = {}
+
+    def slot(self, value: str | None = None) -> int:
+        self.slots.append(value)
+        return len(self.slots) - 1
 
     def domain(self, sort: Sort) -> list[str]:
-        domain = self._domains.get(sort)
-        if domain is None:
-            domain = self._domains[sort] = _domain(self.graph, sort)
-        return domain
+        if sort not in self.domains:
+            self.domains[sort] = _domain(self.graph, sort)
+        return self.domains[sort]
 
-    def run(self, node: Policy, bindings: dict[str, str]) -> bool:
-        if isinstance(node, Exists):
-            for vid in self.domain(node.sort):
-                bindings[node.var] = vid
-                if self.run(node.body, bindings):
-                    del bindings[node.var]
-                    return True
-            bindings.pop(node.var, None)
-            return False
-        if isinstance(node, Forall):
-            for vid in self.domain(node.sort):
-                bindings[node.var] = vid
-                if not self.run(node.body, bindings):
-                    del bindings[node.var]
-                    return False
-            bindings.pop(node.var, None)
-            return True
-        if isinstance(node, And):
-            return self.run(node.left, bindings) and self.run(node.right, bindings)
-        if isinstance(node, Or):
-            return self.run(node.left, bindings) or self.run(node.right, bindings)
-        if isinstance(node, Implies):
-            if not self.run(node.left, bindings):
-                return True
-            return self.run(node.right, bindings)
+    def compile(self, node: Policy, scope: Mapping[str, int]) -> Callable[[], bool]:
+        slots = self.slots
+        if isinstance(node, (Exists, Forall)):
+            slot, domain = self.slot(), self.domain(node.sort)
+            body = self.compile(node.body, {**scope, node.var: slot})
+            settle = isinstance(node, Exists)  # the body value that decides it
+
+            def quantifier() -> bool:
+                for vid in domain:
+                    slots[slot] = vid
+                    if body() is settle:
+                        return settle
+                return not settle
+            return quantifier
+        if isinstance(node, (And, Or, Implies)):
+            # A stack, not recursion, collects the operands of the maximal
+            # spine left to right: a => b => c runs as (not a) or (not b) or c.
+            kind = type(node)
+            settle = kind is not And  # the operand value that decides it
+            operands, stack = [], [node]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, kind):
+                    left = Not(node.left) if kind is Implies else node.left
+                    stack += (node.right, left)
+                else:
+                    operands.append(self.compile(node, scope))
+
+            def spine() -> bool:
+                for operand in operands:
+                    if operand() is settle:
+                        return settle
+                return not settle
+            return spine
         if isinstance(node, Not):
-            return not self.run(node.operand, bindings)
+            operand = self.compile(node.operand, scope)
+            return lambda: not operand()
         if isinstance(node, Const):
-            return node.value
+            value = node.value
+            return lambda: value
         if isinstance(node, EdgeAtom):
-            src = self.resolve(node.source, bindings)
-            dst = self.resolve(node.target, bindings)
-            if src is None or dst is None:
-                return False
-            return self.graph.has_edge(src, dst, node.label)
+            src, dst = self.term(node.source, scope), self.term(node.target, scope)
+            if type(src) is int and type(dst) is int:
+                has_edge, label = self.graph.has_edge, node.label
+                return lambda: has_edge(slots[src], slots[dst], label)
+            return self.unresolved(src, dst)
         if isinstance(node, MemberAtom):
-            vid = self.resolve(node.term, bindings)
-            if vid is None:
-                return False
+            slot = self.term(node.term, scope)
             members = self.policy.sets.get(node.set_name)
+            if type(slot) is not int:
+                return self.unresolved(slot)
             if members is None:
-                self.note(f"set '{node.set_name}' is unbound; membership tests on it are false")
-                return False
-            return vid in members
+                return self.unresolved(
+                    f"set '{node.set_name}' is unbound; membership tests on it are false"
+                )
+            return lambda: slots[slot] in members
         raise TypeError(f"not a policy node: {node!r}")
 
-    def resolve(self, term: Term, bindings: Mapping[str, str]) -> str | None:
+    def term(self, term: Term, scope: Mapping[str, int]) -> int | str | ValueError:
+        """The slot holding ``term``'s vertex id, else the diagnostic of an
+        unresolved constant or the error of a variable outside any quantifier."""
         if isinstance(term, Var):
-            try:
-                return bindings[term.name]
-            except KeyError:
-                raise ValueError(
-                    f"variable '{term.name}' is not bound by an enclosing quantifier"
-                ) from None
+            if term.name in scope:
+                return scope[term.name]
+            unbound = f"variable '{term.name}' is not bound by an enclosing quantifier"
+            return ValueError(unbound)
         if isinstance(term, ConstRef):
             vid = self.policy.constants.get(term.name)
             if vid is None:
-                self.note(f"constant '{term.name}' is unbound; atoms naming it are false")
-            return vid
+                return f"constant '{term.name}' is unbound; atoms naming it are false"
+            return self.slot(vid)
         raise TypeError(f"not a term: {term!r}")
 
-    def note(self, message: str) -> None:
-        if message not in self._noted:
-            self._noted.add(message)
-            self.diagnostics.append(message)
+    def unresolved(self, *names: int | str | ValueError) -> Callable[[], bool]:
+        """An atom that an unresolved name makes false: when reached, it
+        notes each diagnostic in order and raises at an unbound variable."""
+        reached = [name for name in names if type(name) is not int]
 
-
-def _leading_chain(ast: Policy) -> tuple[list[str], list[Sort], Policy]:
-    """The variables and sorts of the outermost run of quantifiers of the
-    root's kind, and the body under them (no variables if the root is not a
-    quantifier)."""
-    names: list[str] = []
-    sorts: list[Sort] = []
-    node = ast
-    while isinstance(node, (Exists, Forall)) and type(node) is type(ast):
-        names.append(node.var)
-        sorts.append(node.sort)
-        node = node.body
-    return names, sorts, node
+        def atom() -> bool:
+            for name in reached:
+                if isinstance(name, ValueError):
+                    raise name
+                self.notes.setdefault(name)
+            return False
+        return atom
 
 
 def evaluate(policy: BoundPolicy, graph: ProvGraph) -> Verdict:
@@ -213,27 +227,27 @@ def evaluate(policy: BoundPolicy, graph: ProvGraph) -> Verdict:
     the verdict is the witness or counterexample.
     """
     _require_valid(graph)
-    evaluator = _Evaluator(policy, graph)
-    names, sorts, body = _leading_chain(policy.ast)
+    plan = _Plan(policy, graph)
+    names, domains, body = [], [], policy.ast
+    while isinstance(body, (Exists, Forall)) and type(body) is type(policy.ast):
+        names.append(body.var)
+        domains.append(plan.domain(body.sort))
+        body = body.body
+    # The chain's variables take the first slots; a repeated name is the inner one.
+    run = plan.compile(body, {name: plan.slot() for name in names})
     existential = isinstance(policy.ast, Exists)
-    satisfied = not existential
-    settling: dict[str, str] | None = None
-    if not names:
-        satisfied = evaluator.run(body, {})
-    else:
-        bindings: dict[str, str] = {}
-        domains = [evaluator.domain(sort) for sort in sorts]
-        for values in itertools.product(*domains):
-            bindings.update(zip(names, values))
-            if evaluator.run(body, bindings) is existential:
-                satisfied = existential
-                settling = dict(zip(names, values))
-                break
+    satisfied, settling = not existential, None
+    slots, width = plan.slots, len(names)
+    for values in itertools.product(*domains):  # one empty assignment if no chain
+        slots[:width] = values
+        if run() is existential:
+            satisfied, settling = existential, dict(zip(names, values)) or None
+            break
     return Verdict(
         satisfied=satisfied,
         witness=settling if satisfied else None,
         counterexample=None if satisfied else settling,
-        diagnostics=tuple(evaluator.diagnostics),
+        diagnostics=tuple(plan.notes),
     )
 
 

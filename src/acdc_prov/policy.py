@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     policy   := expr EOF
     expr     := quant | impl
     quant    := ("exists" | "forall") IDENT ":" sort "." expr
-    impl     := orex ("=>" impl)?                  # right-associative
+    impl     := orex ("=>" orex)*                  # right-associative
     orex     := andex ("or" andex)*                # left-associative
     andex    := unary ("and" unary)*               # left-associative
     unary    := "not" unary | atom | "true" | "false" | "(" expr ")"
@@ -341,11 +341,14 @@ class _Parser:
         return node(name_token.value, sort, body)
 
     def implication(self) -> Policy:
-        left = self.disjunction()
-        if self.current.kind == "=>":
+        operands = [self.disjunction()]
+        while self.current.kind == "=>":
             self.eat("=>")
-            return Implies(left, self.implication())
-        return left
+            operands.append(self.disjunction())
+        node = operands.pop()
+        while operands:
+            node = Implies(operands.pop(), node)
+        return node
 
     def disjunction(self) -> Policy:
         node = self.conjunction()
@@ -462,17 +465,8 @@ def _render(node: Policy, context: int) -> str:
         keyword = "exists" if isinstance(node, Exists) else "forall"
         text = f"{keyword} {node.var}: {node.sort.value} . {_render(node.body, _PREC_QUANT)}"
         return f"({text})" if context > _PREC_QUANT else text
-    if isinstance(node, Implies):
-        text = (
-            f"{_render(node.left, _PREC_OR)} => {_render(node.right, _PREC_IMPLIES)}"
-        )
-        return f"({text})" if context > _PREC_IMPLIES else text
-    if isinstance(node, Or):
-        text = f"{_render(node.left, _PREC_OR)} or {_render(node.right, _PREC_AND)}"
-        return f"({text})" if context > _PREC_OR else text
-    if isinstance(node, And):
-        text = f"{_render(node.left, _PREC_AND)} and {_render(node.right, _PREC_NOT)}"
-        return f"({text})" if context > _PREC_AND else text
+    if isinstance(node, (Implies, Or, And)):
+        return _render_spine(node, context)
     if isinstance(node, Not):
         return f"not {_render(node.operand, _PREC_NOT)}"
     if isinstance(node, EdgeAtom):
@@ -485,6 +479,35 @@ def _render(node: Policy, context: int) -> str:
     if isinstance(node, Const):
         return "true" if node.value else "false"
     raise TypeError(f"not a policy node: {node!r}")
+
+
+# connective -> (keyword, precedence, context of the left and right operands)
+_BINARY = {
+    Implies: ("=>", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
+    Or: ("or", _PREC_OR, _PREC_OR, _PREC_AND),
+    And: ("and", _PREC_AND, _PREC_AND, _PREC_NOT),
+}
+
+
+def _render_spine(node: Implies | Or | And, context: int) -> str:
+    """Render the maximal spine of ``node``'s connective in order, with a
+    stack instead of recursion; only its other operands recurse."""
+    kind = type(node)
+    keyword, precedence, left, right = _BINARY[kind]
+    parts: list[str] = []
+    stack: list[tuple[Policy | str, int]] = [(node, context)]
+    while stack:
+        item, context = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, kind):
+            wrap = context > precedence
+            stack.append((")" if wrap else "", context))
+            stack += ((item.right, right), (f" {keyword} ", context), (item.left, left))
+            stack.append(("(" if wrap else "", context))
+        else:
+            parts.append(_render(item, context))
+    return "".join(parts)
 
 
 def _render_term(term: Term) -> str:

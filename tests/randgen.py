@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import random
 
-from acdc_prov.graph import ProvGraph, RelationLabel, Sort, TYPING_RULES, VertexKind
+from acdc_prov.graph import (
+    LabeledEdge,
+    ProvGraph,
+    RelationLabel,
+    Sort,
+    TYPING_RULES,
+    Vertex,
+    VertexKind,
+)
 from acdc_prov.policy import (
     And,
     Const,
@@ -44,6 +52,7 @@ ALLOWED_BY_PAIR = {
 
 _ID_POOL = tuple(f"v{i:02d}" for i in range(24))
 _EXTRA_ID_POOL = tuple(f"w{i:02d}" for i in range(12))
+_LARGE_ID_POOL = tuple(f"n{i:03d}" for i in range(400))
 
 VAR_NAMES = ("x", "y", "z", "u", "t")
 CONST_NAMES = ("c1", "c2", "c3")
@@ -77,6 +86,25 @@ def random_graph(
     rng: random.Random, max_vertices: int = 12, min_vertices: int = 0
 ) -> ProvGraph:
     return random_graph_with_order(rng, max_vertices, min_vertices)[0]
+
+
+def random_large_graph(
+    rng: random.Random, vertices: int = 200, max_out_degree: int = 6
+) -> ProvGraph:
+    """A random well-typed DAG of ``vertices`` vertices (at most 400) with
+    up to ``max_out_degree`` forward edges per vertex, constructed in one
+    step: inserting thousands of edges one ``add_edge`` at a time would
+    take quadratic time."""
+    order = rng.sample(_LARGE_ID_POOL, vertices)
+    kinds = {vid: rng.choice(KINDS) for vid in order}
+    edges = set()
+    for i, src in enumerate(order[:-1]):
+        for _ in range(rng.randint(0, max_out_degree)):
+            dst = order[rng.randrange(i + 1, vertices)]
+            allowed = ALLOWED_BY_PAIR.get((kinds[src], kinds[dst]))
+            if allowed:
+                edges.add(LabeledEdge(src, dst, rng.choice(allowed)))
+    return ProvGraph({vid: Vertex(vid, kind) for vid, kind in kinds.items()}, edges)
 
 
 def extend_graph(

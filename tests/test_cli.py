@@ -344,20 +344,13 @@ _DEEP_INPUTS = {
         ["check", "empty.json", "deep.pol"],
     ),
     "nots": ("deep.pol", "not " * 3000 + "true\n", ["check", "empty.json", "deep.pol"]),
-    "ands": (
-        "deep.pol",
-        " and ".join(["true"] * 5000) + "\n",
-        ["check", "empty.json", "deep.pol"],
-    ),
 }
 
 
-@pytest.mark.parametrize("case", _DEEP_INPUTS)
-def test_deeply_nested_input_is_unusable_input(tmp_path, case):
-    name, text, argv = _DEEP_INPUTS[case]
-    _write(tmp_path, name, text)
+def _run_cli(tmp_path, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter inside ``tmp_path``."""
     src = Path(acdc_prov.__file__).resolve().parent.parent
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "acdc_prov.cli", *argv],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -365,7 +358,23 @@ def test_deeply_nested_input_is_unusable_input(tmp_path, case):
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("case", _DEEP_INPUTS)
+def test_deeply_nested_input_is_unusable_input(tmp_path, case):
+    name, text, argv = _DEEP_INPUTS[case]
+    _write(tmp_path, name, text)
+    result = _run_cli(tmp_path, argv)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("keyword", ["and", "=>"], ids=["ands", "arrows"])
+def test_long_connective_chains_are_checked(tmp_path, keyword):
+    # Chains of connectives have no nesting limit: the parser and the
+    # evaluator loop along a chain instead of recursing once per operand.
+    _write(tmp_path, "long.pol", f" {keyword} ".join(["true"] * 5000) + "\n")
+    result = _run_cli(tmp_path, ["check", "empty.json", "long.pol"])
+    assert (result.returncode, result.stdout, result.stderr) == (0, "satisfied\n", "")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from acdc_prov.evaluator import (
     ConflictingBindingError,
     EmptyPolicyListError,
     InvalidGraphError,
+    Verdict,
     conjoin,
     evaluate,
     evaluate_naive,
@@ -28,12 +32,14 @@ from acdc_prov.graph import (
 )
 from acdc_prov.policy import (
     And,
+    Const,
     ConstRef,
     EdgeAtom,
     Environment,
     Exists,
     Forall,
     Not,
+    Sort,
     Var,
     bind,
     parse_policy,
@@ -46,6 +52,7 @@ from randgen import (
     VAR_NAMES,
     random_environment,
     random_graph,
+    random_large_graph,
     random_policy_ast,
 )
 
@@ -340,6 +347,34 @@ def test_routes_agree_on_random_inputs(seed):
     assert evaluate(bound, graph).satisfied == evaluate_naive(bound, graph)
 
 
+@settings(deadline=None, max_examples=100)
+@given(SEEDS)
+def test_routes_agree_on_random_inputs_of_200_vertices(seed):
+    rng = random.Random(seed)
+    graph = random_large_graph(rng)
+    ast = random_policy_ast(rng, max_quantifiers=2, max_depth=3)
+    bound = bind(ast, random_environment(rng, graph))
+    assert evaluate(bound, graph).satisfied == evaluate_naive(bound, graph)
+
+
+def test_a_rebound_name_is_scoped_like_the_oracle(encapsulation):
+    # The parser rejects rebinding a name in scope; an AST built directly
+    # may do it, and then the inner quantifier's variable is the one seen
+    # inside it and the outer one is seen again after it.
+    rebound = Exists(
+        "x",
+        Sort.KEY_ENTITY,
+        And(
+            Exists("x", Sort.AGENT, Const(True)),
+            EdgeAtom(ConstRef("Encapsulate"), Var("x"), RelationLabel.USED),
+        ),
+    )
+    bound = bind(rebound, Environment(constants={"Encapsulate": "Encapsulate"}))
+    verdict = evaluate(bound, encapsulation)
+    assert verdict.satisfied and evaluate_naive(bound, encapsulation)
+    assert verdict.witness == {"x": "Key_Bob"}
+
+
 @settings(deadline=None)
 @given(SEEDS)
 def test_negation_duality(seed):
@@ -410,6 +445,38 @@ def test_witnesses_and_counterexamples_follow_their_definition_on_random_inputs(
 
 
 # ---------------------------------------------------------------------------
+# the same atoms in the same order
+# ---------------------------------------------------------------------------
+
+# For every corpus policy (bound to its own environment) on every corpus
+# graph: the number of ``has_edge`` calls ``evaluate`` makes, and the
+# SHA-256 of their arguments, one "src<TAB>dst<TAB>label" line per call.
+# Recorded from the recursive evaluator the compiled plan replaced.
+_HAS_EDGE_TRACES = json.loads(
+    (Path(__file__).parent / "has_edge_traces.json").read_text(encoding="utf-8")
+)
+
+
+def test_evaluate_tests_the_same_atoms_in_the_same_order(monkeypatch):
+    calls: list[str] = []
+    has_edge = ProvGraph.has_edge
+
+    def logged(graph, src, dst, label):
+        calls.append(f"{src}\t{dst}\t{label.value}")
+        return has_edge(graph, src, dst, label)
+
+    monkeypatch.setattr(ProvGraph, "has_edge", logged)
+    traces = {}
+    for entry in corpus():
+        for name, graph in corpus_graphs().items():
+            calls.clear()
+            evaluate(entry.bound(), graph)
+            digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+            traces[f"{entry.name}|{name}"] = [len(calls), digest]
+    assert traces == _HAS_EDGE_TRACES
+
+
+# ---------------------------------------------------------------------------
 # conjunction
 # ---------------------------------------------------------------------------
 
@@ -472,3 +539,37 @@ def test_conjoin_resolves_names_across_policies(encapsulation):
     combined = conjoin([lonely, helper])
     assert combined.unresolved == ()
     assert evaluate(combined, encapsulation).satisfied
+
+
+def _trues(count: int) -> list:
+    return [bind(parse_policy("true"), Environment())] * count
+
+
+def test_a_conjunction_of_3000_policies_evaluates_and_prints():
+    combined = conjoin(_trues(3000))
+    verdict = evaluate(combined, ProvGraph())
+    assert verdict == Verdict(satisfied=True)
+    assert pretty_print(combined.ast).count(" and ") == 2999
+
+
+def test_a_conjunction_of_3000_policies_reports_an_unresolved_name_once():
+    parts = _trues(3000)
+    parts[1500] = bind(parse_policy("not edge(Ghost, Ghost, Used)"), Environment())
+    verdict = evaluate(conjoin(parts), ProvGraph())
+    assert verdict.satisfied
+    assert verdict.diagnostics == ("constant 'Ghost' is unbound; atoms naming it are false",)
+
+
+@pytest.mark.parametrize(
+    "text, satisfied",
+    [
+        (" or ".join(["false"] * 4999 + ["true"]), True),
+        (" and ".join(["true"] * 4999 + ["false"]), False),
+        ("true" + " => true" * 4999 + " => false", False),
+        ("false" + " => false" * 4999, True),
+    ],
+    ids=["or", "and", "implies", "implies-false-premise"],
+)
+def test_parsed_chains_of_5000_operands_evaluate(text, satisfied):
+    bound = bind(parse_policy(text), Environment())
+    assert evaluate(bound, ProvGraph()).satisfied is satisfied

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from acdc_prov.policy import (
     parse_policy,
     pretty_print,
 )
+from acdc_prov.scenarios import corpus
 from randgen import random_policy_ast
 
 
@@ -221,6 +223,52 @@ def test_nesting_past_the_limit_is_a_parse_error(kind, depth):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+def _fold_right(kind, operands: list):
+    return functools.reduce(lambda right, left: kind(left, right), reversed(operands))
+
+
+def _right_spine(node, kind) -> list:
+    """The operands along the right spine of ``kind`` nodes, in order,
+    gathered with a loop: a 5000-deep AST is too deep to compare with ==."""
+    operands = []
+    while isinstance(node, kind):
+        operands.append(node.left)
+        node = node.right
+    return operands + [node]
+
+
+def test_fifty_arrows_parse_to_the_right_nested_chain():
+    atoms = [f"edge(c{i}, d{i}, Used)" for i in range(51)]
+    expected = _fold_right(
+        Implies,
+        [EdgeAtom(ConstRef(f"c{i}"), ConstRef(f"d{i}"), RelationLabel.USED) for i in range(51)],
+    )
+    assert parse_policy(" => ".join(atoms)) == expected
+
+
+def test_5000_arrows_parse_without_recursion():
+    ast = parse_policy("true" + " => true" * 5000)
+    assert _right_spine(ast, Implies) == [Const(True)] * 5001
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("true =>", (1, 8)),
+        ("true => => true", (1, 9)),
+        ("true => exists x: vertex . true", (1, 9)),
+        ("(true => true", (1, 14)),
+        ("true => true)", (1, 13)),
+        ("=> true", (1, 1)),
+        ("true =>\n  false =>\n =>", (3, 2)),
+    ],
+)
+def test_implication_parse_errors_keep_their_positions(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_policy(text)
+    assert (err.value.line, err.value.column) == position
+
+
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -272,6 +320,72 @@ def test_corpus_style_policy_round_trips():
     )
     ast = parse_policy(text)
     assert parse_policy(pretty_print(ast)) == ast
+
+
+# The canonical text of each corpus policy, as the recursive printer
+# rendered it before spines were printed with a loop.
+_CORPUS_TEXTS = {
+    "p1": "exists k: key_entity . edge(Encapsulate, k, Used)",
+    "p2": "exists d: data_entity . edge(Encapsulate, d, Used)",
+    "p3": "forall k: key_entity . edge(Encapsulate, k, Used) => edge(k, Bob, WasAttributedTo) or (exists n: node_agent . edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf))",
+    "p4": "forall d: data_entity . edge(Encapsulate, d, Used) => edge(d, Bob, WasAttributedTo)",
+    "p5": "exists d: data_entity . edge(SecureCapsule, d, WasDerivedFrom)",
+    "p6": "exists k: key_entity . edge(SecureCapsule, k, WasDerivedFrom)",
+    "p7": "forall k: key_entity . edge(SecureCapsule, k, WasDerivedFrom) => edge(k, Bob, WasAttributedTo) or (exists n: node_agent . edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf))",
+    "p8": "forall d: data_entity . edge(SecureCapsule, d, WasDerivedFrom) => edge(d, Bob, WasAttributedTo)",
+    "p9": "edge(SecureCapsule, EncapsulateContract, WasDerivedFrom)",
+    "encapsulate_all": "(exists k: key_entity . edge(Encapsulate, k, Used)) and (exists d: data_entity . edge(Encapsulate, d, Used)) and (forall k: key_entity . edge(Encapsulate, k, Used) => edge(k, Bob, WasAttributedTo) or (exists n: node_agent . edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf))) and (forall d: data_entity . edge(Encapsulate, d, Used) => edge(d, Bob, WasAttributedTo)) and (exists d: data_entity . edge(SecureCapsule, d, WasDerivedFrom)) and (exists k: key_entity . edge(SecureCapsule, k, WasDerivedFrom)) and (forall k: key_entity . edge(SecureCapsule, k, WasDerivedFrom) => edge(k, Bob, WasAttributedTo) or (exists n: node_agent . edge(k, n, WasAttributedTo) and edge(n, Bob, ActedOnBehalfOf))) and (forall d: data_entity . edge(SecureCapsule, d, WasDerivedFrom) => edge(d, Bob, WasAttributedTo)) and edge(SecureCapsule, EncapsulateContract, WasDerivedFrom)",
+    "receipt_attributed": "exists d: data_entity . exists a: activity . exists v: account_agent . edge(a, PrintReceiptContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, PrintReceiptContract, WasDerivedFrom) and edge(d, v, WasAttributedTo)",
+    "blacklisted_actor": "exists b: account_agent . member(b, blacklist) and (exists n: node_agent . edge(n, b, ActedOnBehalfOf))",
+    "keygen_done": "exists k: key_entity . exists a: activity . exists v: account_agent . edge(a, KeyGenContract, Used) and edge(k, a, WasGeneratedBy) and edge(k, KeyGenContract, WasDerivedFrom) and edge(k, v, WasAttributedTo)",
+    "select_done": "exists d: data_entity . exists a: activity . exists v: account_agent . edge(a, SelectContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, SelectContract, WasDerivedFrom) and edge(d, v, WasAttributedTo)",
+    "print_done": "exists d: data_entity . exists a: activity . exists v: account_agent . edge(a, PrintContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, PrintContract, WasDerivedFrom) and edge(d, v, WasAttributedTo)",
+    "verify_done": "exists d: data_entity . exists a: activity . exists v: account_agent . edge(a, VerifyContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, VerifyContract, WasDerivedFrom) and edge(d, v, WasAttributedTo)",
+    "count_done": "exists d: data_entity . exists a: activity . exists n: node_agent . exists v: account_agent . edge(a, CountContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, CountContract, WasDerivedFrom) and edge(d, n, WasAttributedTo) and edge(n, v, ActedOnBehalfOf)",
+    "print_receipt_done": "exists d: data_entity . exists a: activity . exists v: account_agent . edge(a, PrintReceiptContract, Used) and edge(d, a, WasGeneratedBy) and edge(d, PrintReceiptContract, WasDerivedFrom) and edge(d, v, WasAttributedTo)",
+}
+
+
+def test_pretty_print_of_the_corpus_is_unchanged():
+    printed = {entry.name: pretty_print(parse_policy(entry.source)) for entry in corpus()}
+    assert printed == _CORPUS_TEXTS
+
+
+_ATOMS = [f"edge(c{i}, d{i}, Used)" for i in range(50)]
+_ATOM_ASTS = [
+    EdgeAtom(ConstRef(f"c{i}"), ConstRef(f"d{i}"), RelationLabel.USED) for i in range(50)
+]
+
+
+
+
+# 50-operand spines nested to either side, and their text as the recursive
+# printer rendered it: a left operand needs parentheses under => only, a
+# right operand under "and" and "or" only.
+_SPINE_TEXTS = {
+    (And, "left"): " and ".join(_ATOMS),
+    (And, "right"): " and (".join(_ATOMS[:-1]) + " and " + _ATOMS[-1] + ")" * 48,
+    (Or, "left"): " or ".join(_ATOMS),
+    (Or, "right"): " or (".join(_ATOMS[:-1]) + " or " + _ATOMS[-1] + ")" * 48,
+    (Implies, "left"): "(" * 48 + _ATOMS[0] + " => " + ") => ".join(_ATOMS[1:]),
+    (Implies, "right"): " => ".join(_ATOMS),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, side", _SPINE_TEXTS, ids=[f"{k.__name__}-{s}" for k, s in _SPINE_TEXTS]
+)
+def test_pretty_print_of_50_deep_spines_is_unchanged(kind, side):
+    ast = functools.reduce(kind, _ATOM_ASTS) if side == "left" else _fold_right(kind, _ATOM_ASTS)
+    assert pretty_print(ast) == _SPINE_TEXTS[(kind, side)]
+
+
+@pytest.mark.parametrize("keyword", ["and", "or", "=>"])
+def test_chains_of_5000_operands_round_trip(keyword):
+    text = f" {keyword} ".join(["true"] * 5000)
+    ast = parse_policy(text)
+    assert pretty_print(ast) == text
+    assert pretty_print(parse_policy(pretty_print(ast))) == text
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
