@@ -217,9 +217,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: input is nested too deeply to process", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

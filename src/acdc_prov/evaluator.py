@@ -11,8 +11,9 @@ witnesses and counterexamples deterministic.
 variables and resolved constants are slots of one list, each quantifier holds
 its sorted domain, each maximal ``and``/``or``/``=>`` chain is one n-ary node.
 It short-circuits left to right as a walk of the AST would, so it tests the
-same atoms in the same order; it prunes no assignment, as that needs edge
-indexes the graph does not build yet. ``evaluate_naive`` recomputes the same
+same atoms in the same order; each atom is one probe of the graph's edge
+index. Drawing candidates from that index to prune assignments waits on a
+benchmark that can time faster passes. ``evaluate_naive`` recomputes the same
 semantics by materialising every sort domain and the full Cartesian product
 of quantified assignments without any pruning. The two must always agree --
 the naive route exists as an independent oracle for the optimised one and

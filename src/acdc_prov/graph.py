@@ -10,6 +10,9 @@ see ``TYPING_RULES``.
 Graphs are read-only values, down to each vertex's ``attrs``, and validate
 at most once; every mutating operation returns a new graph. Vertex
 comparison and lookup are by id; ``attrs`` are display metadata only.
+As no graph changes once built, each indexes its edges once, on the first
+query, and keeps the index: destination ids per (source, label) answer
+``has_edge``, and per-vertex edge lists answer ``out_edges``/``in_edges``.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ class ProvGraph:
 
     def has_edge(self, src: str, dst: str, label: RelationLabel) -> bool:
         """Return True iff the labeled edge is present."""
-        return LabeledEdge(src, dst, label) in self.edges
+        return dst in self._index[0].get((src, label), ())
 
     def kind_of(self, vertex_id: str) -> VertexKind:
         """Return the kind of ``vertex_id`` (MissingVertexError if absent)."""
@@ -318,17 +321,29 @@ class ProvGraph:
         self, src: str, label: RelationLabel | None = None
     ) -> Iterator[LabeledEdge]:
         """Yield edges leaving ``src`` (optionally restricted to ``label``)."""
-        for edge in self.edges:
-            if edge.src == src and (label is None or edge.label is label):
+        for edge in self._index[1].get(src, ()):
+            if label is None or edge.label is label:
                 yield edge
 
     def in_edges(
         self, dst: str, label: RelationLabel | None = None
     ) -> Iterator[LabeledEdge]:
         """Yield edges entering ``dst`` (optionally restricted to ``label``)."""
-        for edge in self.edges:
-            if edge.dst == dst and (label is None or edge.label is label):
+        for edge in self._index[2].get(dst, ()):
+            if label is None or edge.label is label:
                 yield edge
+
+    @cached_property
+    def _index(self) -> tuple[dict, dict, dict]:
+        """The adjacency of ``edges``, built in one pass on the first query."""
+        targets: dict[tuple[str, RelationLabel], set[str]] = {}
+        outgoing: dict[str, list[LabeledEdge]] = {}
+        incoming: dict[str, list[LabeledEdge]] = {}
+        for edge in self.edges:
+            targets.setdefault((edge.src, edge.label), set()).add(edge.dst)
+            outgoing.setdefault(edge.src, []).append(edge)
+            incoming.setdefault(edge.dst, []).append(edge)
+        return targets, outgoing, incoming
 
     # -- validation ----------------------------------------------------------
 

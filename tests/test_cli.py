@@ -371,6 +371,22 @@ def test_deeply_nested_input_is_unusable_input(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+_AT_THE_LIMIT = {
+    "parentheses": "(" * 100 + "true" + ")" * 100,
+    "nots": "not " * 100 + "true",
+    "quantifiers": "".join(f"exists x{i}: vertex . " for i in range(100)) + "true",
+}
+
+
+@pytest.mark.parametrize("case", _AT_THE_LIMIT)
+def test_input_at_the_nesting_limit_is_checked(tmp_path, capsys, case):
+    # The deepest policy the parser accepts is answered within the default
+    # recursion limit, so no RecursionError reaches main().
+    policy = _write(tmp_path, "deep.pol", _AT_THE_LIMIT[case] + "\n")
+    assert main(["check", "alice_trace_full.json", str(policy), "--witness"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "satisfied"
+
+
 @pytest.mark.parametrize("keyword", ["and", "=>"], ids=["ands", "arrows"])
 def test_long_connective_chains_are_checked(tmp_path, keyword):
     # Chains of connectives have no nesting limit: the parser and the

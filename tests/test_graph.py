@@ -10,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,8 @@ from acdc_prov.graph import (
 )
 from acdc_prov.events import extract_event, slice_by_agent
 from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
-from randgen import random_graph, random_graph_with_order
+from acdc_prov.scenarios import corpus_graphs
+from randgen import random_graph, random_graph_with_order, random_large_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -417,6 +419,144 @@ def test_read_only_graphs_still_copy_and_pickle(alice_trace):
         assert save_graph(twin) == save_graph(graph)
         with pytest.raises(TypeError):
             twin.vertices["Note"].attrs["display"] = "changed"
+
+
+# ---------------------------------------------------------------------------
+# the adjacency index answers as the edge scans it replaced
+# ---------------------------------------------------------------------------
+
+
+def _scan_edges(graph: ProvGraph, end: str, vid: str, label: R | None) -> list:
+    """The oracle for ``out_edges`` (``end="src"``) and ``in_edges``
+    (``end="dst"``): a filtered iteration over every edge."""
+    return [
+        e
+        for e in graph.edges
+        if getattr(e, end) == vid and (label is None or e.label is label)
+    ]
+
+
+def _assert_index_matches_scans(graph: ProvGraph, rng: random.Random | None = None):
+    """Compare every query with its scan, over the graph's ids and two absent
+    ids; on graphs of more than 40 vertices, probe ``has_edge`` at every
+    edge, at each edge with one field changed, and at 5000 random triples."""
+    ids = sorted(graph.vertices) + ["absent", ""]
+    if len(ids) <= 42:
+        probes = [(s, d, l) for s in ids for d in ids for l in R]
+    else:
+        rng = rng or random.Random(0)
+        probes = [(e.src, e.dst, e.label) for e in graph.edges]
+        for src, dst, label in list(probes):
+            probes += [
+                (dst, src, label),
+                (src, rng.choice(ids), label),
+                (src, dst, rng.choice(list(R))),
+            ]
+        probes += [
+            (rng.choice(ids), rng.choice(ids), rng.choice(list(R))) for _ in range(5000)
+        ]
+    for src, dst, label in probes:
+        expected = LabeledEdge(src, dst, label) in graph.edges
+        assert graph.has_edge(src, dst, label) is expected, (src, dst, label)
+    for vid in ids:
+        for label in (None, *R):
+            outgoing = _scan_edges(graph, "src", vid, label)
+            incoming = _scan_edges(graph, "dst", vid, label)
+            assert list(graph.out_edges(vid, label)) == outgoing
+            assert list(graph.in_edges(vid, label)) == incoming
+
+
+def test_index_matches_the_scans_on_the_corpus():
+    for graph in corpus_graphs().values():
+        _assert_index_matches_scans(graph)
+
+
+def test_index_matches_the_scans_on_random_graphs():
+    for seed in range(40):
+        _assert_index_matches_scans(random_graph(random.Random(seed)))
+    for seed in range(3):
+        rng = random.Random(seed)
+        _assert_index_matches_scans(random_large_graph(rng), rng)
+
+
+def test_index_matches_the_scans_on_derived_graphs(encapsulation, alice_trace):
+    built = _graph_with_attrs().add_vertex("In", K.KEY_ENTITY).add_edge(
+        "Run", "In", R.USED
+    )
+    for graph in (
+        built,
+        encapsulation.renamed({"Bob": "Alice", "Encapsulate": "Seal"}),
+        union(encapsulation, alice_trace, built),
+    ):
+        _assert_index_matches_scans(graph)
+
+
+def test_derived_graphs_answer_from_their_own_edges(alice_trace):
+    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY)
+    new_edge = ("Note", "Alice", R.WAS_ATTRIBUTED_TO)
+    assert not graph.has_edge(*new_edge)
+    assert list(graph.out_edges("Note")) == []
+    assert "_index" in vars(graph)
+    derived = {
+        "add_edge": graph.add_edge(*new_edge),
+        "add_vertex": graph.add_vertex("Other", K.DATA_ENTITY),
+        "renamed": graph.renamed({"Note": "Memo"}),
+        "union": union(graph, ProvGraph().add_vertex("Other", K.DATA_ENTITY)),
+        "copy": copy.copy(graph),
+        "deepcopy": copy.deepcopy(graph),
+        "pickle": pickle.loads(pickle.dumps(graph)),
+    }
+    for name, twin in derived.items():
+        assert "_index" not in vars(twin), name
+        _assert_index_matches_scans(twin)
+    assert derived["add_edge"].has_edge(*new_edge)
+    assert list(derived["add_edge"].out_edges("Note")) == [LabeledEdge(*new_edge)]
+    assert not graph.has_edge(*new_edge)
+
+
+def test_the_index_is_built_at_most_once_per_graph(monkeypatch, alice_trace):
+    compute = ProvGraph.__dict__["_index"].func
+    built: list[int] = []
+
+    def counting_index(self):
+        built.append(id(self))
+        return compute(self)
+
+    index = cached_property(counting_index)
+    index.__set_name__(ProvGraph, "_index")
+    monkeypatch.setattr(ProvGraph, "_index", index)
+    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY)
+    assert built == []
+    for vid in graph.vertices:
+        for label in R:
+            graph.has_edge(vid, "Alice", label)
+            list(graph.out_edges(vid, label))
+            list(graph.in_edges(vid, label))
+    for activity in graph.vertices_of_sort(Sort.ACTIVITY):
+        extract_event(graph, activity)
+    assert built == [id(graph)]
+    loaded = load_graph(save_graph(graph))
+    assert built == [id(graph)]
+    loaded.has_edge("Alice", "m1", R.USED)
+    assert built == [id(graph), id(loaded)]
+
+
+def test_an_indexed_graph_builds_no_edges_to_answer(monkeypatch, alice_trace):
+    ids = list(alice_trace.vertices)
+    probes = [(s, d, l) for s in ids for d in ("Alice", "m1") for l in R]
+    expected = [LabeledEdge(*p) in alice_trace.edges for p in probes]
+    outgoing = {v: _scan_edges(alice_trace, "src", v, None) for v in ids}
+    incoming = {v: _scan_edges(alice_trace, "dst", v, R.USED) for v in ids}
+    alice_trace.has_edge("Alice", "m1", R.USED)
+
+    class NoEdges:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a query built a LabeledEdge")
+
+    monkeypatch.setattr("acdc_prov.graph.LabeledEdge", NoEdges)
+    assert [alice_trace.has_edge(*p) for p in probes] == expected
+    assert {v: list(alice_trace.out_edges(v)) for v in ids} == outgoing
+    assert {v: list(alice_trace.in_edges(v, R.USED)) for v in ids} == incoming
 
 
 # ---------------------------------------------------------------------------
