@@ -60,7 +60,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     graph = load_graph(_resolve(args.graph).read_bytes())
     if args.slice:
         graph = slice_by_agent(graph, args.slice)
-    ast = parse_policy(_resolve(args.policy).read_text("utf-8"))
+    policy_path = _resolve(args.policy)
+    try:
+        source = policy_path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PolicyError(f"policy file {policy_path}: not valid UTF-8: {exc}") from None
+    ast = parse_policy(source)
     if args.env:
         env = load_environment(_resolve(args.env).read_bytes())
     else:

@@ -15,11 +15,13 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     sort     := key_entity | contract_entity | data_entity | node_agent
               | account_agent | activity | entity | agent | vertex
 
+Token classes are the alternatives of one regular expression, ``_TOKEN``.
 Operator precedence, loosest first: quantifier bodies extend to the end of
-the enclosing scope, then ``=>``, ``or``, ``and``, ``not``. An identifier
-in term position is a variable when a quantifier of that name is in scope
-and a named constant otherwise; rebinding a name that is already in scope
-is an error.
+the enclosing scope, then ``=>``, ``or``, ``and``, ``not``; the parser and
+the printer both take the connectives' precedence and associativity from
+``_BINARY``. An identifier in term position is a variable when a
+quantifier of that name is in scope and a named constant otherwise;
+rebinding a name that is already in scope is an error.
 
 Parentheses, ``not`` and quantifiers nest at most 100 levels deep, each
 counting as one level: the parser recurses on each of them, and the limit
@@ -28,8 +30,10 @@ keeps it well inside Python's recursion limit.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graph import RelationLabel, Sort
 
@@ -199,54 +203,38 @@ _KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # keyword, punctuation, "ident" or "eof"
     value: str
     line: int
     column: int
 
 
+# One alternative per token class, tried in order. ``\w`` is a letter, digit
+# or ``_``; a word must also start with a letter or ``_``, for which ``re``
+# has no class, so ``_tokenize`` checks its first character.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<punctuation>[(),:.]|=>)|(?P<word>\w+)|(?P<other>.)"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < length and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "(),:.":
-            tokens.append(_Token(ch, ch, line, column))
-            i += 1
-            column += 1
-            continue
-        if text.startswith("=>", i):
-            tokens.append(_Token("=>", "=>", line, column))
-            i += 2
-            column += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, column))
-            column += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "punctuation":
+            tokens.append(_Token(value, value, line, column))
+        elif kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(_Token(value if value in _KEYWORDS else "ident", value, line, column))
+        elif kind != "blank" and kind != "comment":
+            raise ParseError(f"unexpected character {value[0]!r}", line, column)
+    # A comment takes no columns, so end of input after one is at its '#'.
+    column = len(text[line_start:].partition("#")[0]) + 1
     tokens.append(_Token("eof", "", line, column))
     return tokens
 
@@ -254,6 +242,26 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+_PREC_QUANT = 0
+_PREC_IMPLIES = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_NOT = 4
+
+
+# connective -> (keyword, precedence, context of the left and right operands).
+# The printer parenthesises an operand whose precedence is below its context,
+# and the parser folds a chain towards the side whose context is the
+# connective's own precedence.
+_BINARY = {
+    Implies: ("=>", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
+    Or: ("or", _PREC_OR, _PREC_OR, _PREC_AND),
+    And: ("and", _PREC_AND, _PREC_AND, _PREC_NOT),
+}
+
+# The parser's levels, loosest first.
+_LEVELS = sorted(_BINARY, key=lambda kind: _BINARY[kind][1])
 
 _MAX_NESTING = 100
 
@@ -309,7 +317,7 @@ class _Parser:
     def expr(self) -> Policy:
         if self.current.kind in ("exists", "forall"):
             return self.quantifier()
-        return self.implication()
+        return self.binary()
 
     def quantifier(self) -> Policy:
         keyword = self.eat(self.current.kind)
@@ -333,36 +341,26 @@ class _Parser:
             ) from None
         self.eat(".")
         self.scope.append(name_token.value)
-        try:
-            body = self.nested(keyword, self.expr)
-        finally:
-            self.scope.pop()
+        body = self.nested(keyword, self.expr)
+        self.scope.pop()
         node = Exists if keyword.kind == "exists" else Forall
         return node(name_token.value, sort, body)
 
-    def implication(self) -> Policy:
-        operands = [self.disjunction()]
-        while self.current.kind == "=>":
-            self.eat("=>")
-            operands.append(self.disjunction())
-        node = operands.pop()
-        while operands:
-            node = Implies(operands.pop(), node)
-        return node
-
-    def disjunction(self) -> Policy:
-        node = self.conjunction()
-        while self.current.kind == "or":
-            self.eat("or")
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Policy:
-        node = self.unary()
-        while self.current.kind == "and":
-            self.eat("and")
-            node = And(node, self.unary())
-        return node
+    def binary(self, level: int = 0) -> Policy:
+        """Parse a chain of ``_LEVELS[level]``'s connective. Its operands are
+        chains of the next tighter level, or unary after the tightest."""
+        kind = _LEVELS[level]
+        keyword, precedence, _, right = _BINARY[kind]
+        level += 1
+        operands = []
+        while True:
+            operands.append(self.binary(level) if level < len(_LEVELS) else self.unary())
+            if self.current.kind != keyword:
+                break
+            self.pos += 1
+        if right == precedence:
+            return functools.reduce(lambda chain, operand: kind(operand, chain), reversed(operands))
+        return functools.reduce(kind, operands)
 
     def unary(self) -> Policy:
         token = self.current
@@ -374,12 +372,9 @@ class _Parser:
             node = self.nested(token, self.expr)
             self.eat(")")
             return node
-        if token.kind == "true":
-            self.eat("true")
-            return Const(True)
-        if token.kind == "false":
-            self.eat("false")
-            return Const(False)
+        if token.kind in ("true", "false"):
+            self.pos += 1
+            return Const(token.kind == "true")
         if token.kind == "edge":
             return self.edge_atom()
         if token.kind == "member":
@@ -423,9 +418,7 @@ class _Parser:
 
     def term(self) -> Term:
         token = self.eat("ident")
-        if token.value in self.scope:
-            return Var(token.value)
-        return ConstRef(token.value)
+        return (Var if token.value in self.scope else ConstRef)(token.value)
 
 
 def parse_policy(text: str) -> Policy:
@@ -442,13 +435,6 @@ def parse_policy(text: str) -> Policy:
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------
-
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-
 
 def pretty_print(ast: Policy) -> str:
     """Render an AST as canonical policy text with minimal parentheses.
@@ -479,14 +465,6 @@ def _render(node: Policy, context: int) -> str:
     if isinstance(node, Const):
         return "true" if node.value else "false"
     raise TypeError(f"not a policy node: {node!r}")
-
-
-# connective -> (keyword, precedence, context of the left and right operands)
-_BINARY = {
-    Implies: ("=>", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
-    Or: ("or", _PREC_OR, _PREC_OR, _PREC_AND),
-    And: ("and", _PREC_AND, _PREC_AND, _PREC_NOT),
-}
 
 
 def _render_spine(node: Implies | Or | And, context: int) -> str:

@@ -159,6 +159,22 @@ def test_check_malformed_policy_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["policy", "graph", "env"])
+def test_check_of_a_file_that_is_not_utf8_names_the_problem(tmp_path, capsys, role):
+    files = {
+        "graph": corpus_dir().joinpath("encapsulate_bob.json").read_bytes(),
+        "policy": corpus_dir().joinpath("p1.pol").read_bytes(),
+        "env": corpus_dir().joinpath("p1.env.json").read_bytes(),
+    }
+    files[role] = files[role][:20] + b"\xff" + files[role][20:]
+    paths = {name: str(_write(tmp_path, name, blob)) for name, blob in files.items()}
+    code = main(["check", paths["graph"], paths["policy"], "--env", paths["env"]])
+    assert code == 2
+    reason = "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 20"
+    prefix = f"policy file {paths['policy']}: " if role == "policy" else ""
+    assert capsys.readouterr().err.startswith(f"error: {prefix}{reason}")
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Random token streams, and corpus graph, policy and environment files with
 random byte and JSON mutations, go to ``parse_policy``, ``load_graph``,
 ``load_environment`` and ``cli.main``, all in-process. Each library
-function returns or raises its documented error class; ``main`` returns 0
-(satisfied), 1 (violated) or 2 (unusable input, with a first stderr line
-that starts ``error: ``), and lets no exception escape.
+function returns or raises its documented error class, and ``parse_policy``
+agrees with the oracle lexer and parser kept in ``test_policy``. ``main``
+returns 0 (satisfied), 1 (violated) or 2 (unusable input, with a first
+stderr line that starts ``error: ``), and lets no exception escape.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from acdc_prov.cli import corpus_dir, main
 from acdc_prov.graph import GraphError, RelationLabel, Sort
-from acdc_prov.policy import PolicyError, parse_policy
+from acdc_prov.policy import parse_policy
 from acdc_prov.storage import MalformedDocumentError, load_environment, load_graph
+from test_policy import oracle_parse, outcome
 
 CORPUS = corpus_dir()
 GRAPHS = sorted(
@@ -30,8 +32,9 @@ POLICIES = sorted(p.stem for p in CORPUS.glob("*.pol"))
 
 _TOKENS = (
     "exists", "forall", "and", "or", "not", "true", "false", "edge", "member",
-    "(", ")", ",", ":", ".", "=>", "=", ">", "#", "\n", "@", "1", "é", "_",
-    "x", "y", "Alice", "m1", "Blacklist",
+    "(", ")", ",", ":", ".", "=>", "=", ">", "#", "\n", "\r\n", "\t", "@", "1",
+    "1a", "é", "²", "٠", "Ⅻ", "x²", "\xa0", "\ufeff", "_", "x", "y", "Alice",
+    "m1", "Blacklist",
     *(label.value for label in RelationLabel),
     *(sort.value for sort in Sort),
 )  # fmt: skip
@@ -121,20 +124,15 @@ def mutate(data: st.DataObject, blob: bytes) -> bytes:
 @settings(deadline=None, max_examples=200)
 @given(token_streams)
 def test_parse_policy_returns_or_raises_a_policy_error(text):
-    try:
-        parse_policy(text)
-    except PolicyError:
-        pass
+    # Same AST as the character-loop lexer's parse, or the same ParseError.
+    assert outcome(parse_policy, text) == outcome(oracle_parse, text)
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.data(), st.sampled_from(POLICIES))
 def test_mutated_policies_parse_or_raise_a_policy_error(data, name):
-    blob = mutate(data, (CORPUS / f"{name}.pol").read_bytes())
-    try:
-        parse_policy(blob.decode("utf-8", errors="replace"))
-    except PolicyError:
-        pass
+    text = mutate(data, (CORPUS / f"{name}.pol").read_bytes()).decode("utf-8", errors="replace")
+    assert outcome(parse_policy, text) == outcome(oracle_parse, text)
 
 
 @settings(deadline=None, max_examples=100)

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from acdc_prov import policy
 from acdc_prov.graph import RelationLabel, Sort
 from acdc_prov.policy import (
     And,
@@ -223,6 +224,57 @@ def test_nesting_past_the_limit_is_a_parse_error(kind, depth):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+def _random_levels(rng: random.Random, count: int) -> list[tuple[str, str, str]]:
+    """``count`` nesting levels, outermost first, as (text before the opener,
+    the opener, text after the closer): a parenthesis, ``not`` or quantifier,
+    where a parenthesis or ``not`` may follow an operand and a connective, a
+    parenthesis may be followed by one, and no quantifier follows a ``not``."""
+    blank = lambda: rng.choice((" ", " ", "\n", "\n  "))
+    atom = lambda i: rng.choice(
+        ("true", "false", f"edge(x{rng.randrange(i + 1)}, c,{blank()}Used)", f"member(x{i}, s)")
+    )
+    connective = lambda: rng.choice((" and", " or", " =>")) + blank()
+    levels = []
+    for i in range(count):
+        after_not = bool(levels) and levels[-1][1].startswith("not")
+        kinds = ("(", "not") if after_not else ("(", "not", "exists", "forall")
+        kind = rng.choice(kinds)
+        before = ""
+        if kind in ("(", "not") and not after_not and rng.random() < 0.3:
+            before = atom(i) + connective()
+        if kind == "(":
+            after = ")" + (connective() + atom(i) if rng.random() < 0.3 else "")
+            levels.append((before, "(", after))
+        elif kind == "not":
+            levels.append((before, "not" + blank(), ""))
+        else:
+            sort = rng.choice(list(Sort)).value
+            levels.append((before, f"{kind} x{i}: {sort} .{blank()}", ""))
+    return levels
+
+
+def _deep_text(levels: list[tuple[str, str, str]]) -> tuple[str, tuple[int, int]]:
+    """The policy ``levels`` nest, and the line and column of its last opener."""
+    prefix = "".join(before + opener for before, opener, _ in levels[:-1]) + levels[-1][0]
+    line = prefix.count("\n") + 1
+    column = len(prefix) - prefix.rfind("\n")
+    suffix = "".join(after for _, _, after in reversed(levels))
+    return prefix + levels[-1][1] + "member(c, s)" + suffix, (line, column)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_policies_at_the_nesting_limit_round_trip(seed):
+    rng = random.Random(seed)
+    levels = _random_levels(rng, 101)
+    for depth in (rng.randint(90, 99), 100):
+        ast = parse_policy(_deep_text(levels[:depth])[0])
+        assert parse_policy(pretty_print(ast)) == ast
+    text, position = _deep_text(levels)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as err:
+        parse_policy(text)
+    assert (err.value.line, err.value.column) == position
+
+
 def _fold_right(kind, operands: list):
     return functools.reduce(lambda right, left: kind(left, right), reversed(operands))
 
@@ -267,6 +319,177 @@ def test_implication_parse_errors_keep_their_positions(text, position):
     with pytest.raises(ParseError) as err:
         parse_policy(text)
     assert (err.value.line, err.value.column) == position
+
+
+# ---------------------------------------------------------------------------
+# the character-loop lexer and per-level parse methods, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_tokenize(text: str) -> list:
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    length = len(text)
+    while i < length:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            column = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            column += 1
+            continue
+        if ch == "#":
+            while i < length and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "(),:.":
+            tokens.append(policy._Token(ch, ch, line, column))
+            i += 1
+            column += 1
+            continue
+        if text.startswith("=>", i):
+            tokens.append(policy._Token("=>", "=>", line, column))
+            i += 2
+            column += 2
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < length and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            kind = word if word in policy._KEYWORDS else "ident"
+            tokens.append(policy._Token(kind, word, line, column))
+            column += i - start
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(policy._Token("eof", "", line, column))
+    return tokens
+
+
+class _OracleParser(policy._Parser):
+    def expr(self):
+        if self.current.kind in ("exists", "forall"):
+            return self.quantifier()
+        return self.implication()
+
+    def implication(self):
+        operands = [self.disjunction()]
+        while self.current.kind == "=>":
+            self.eat("=>")
+            operands.append(self.disjunction())
+        node = operands.pop()
+        while operands:
+            node = Implies(operands.pop(), node)
+        return node
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.current.kind == "or":
+            self.eat("or")
+            node = Or(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self.current.kind == "and":
+            self.eat("and")
+            node = And(node, self.unary())
+        return node
+
+
+def oracle_parse(text: str):
+    return _OracleParser(_oracle_tokenize(text)).parse()
+
+
+def outcome(parse, text: str):
+    """The AST ``parse`` makes of ``text``, or its error's class, message,
+    position and expected set."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column, exc.expected
+
+
+# Words, punctuation, blanks and characters that are letters, digits or
+# numerals in some script but not in others: 'é' is a letter, '²' and 'Ⅻ'
+# are numerals a word may contain but not start with, '٠' is a decimal
+# digit, and NBSP and the BOM are neither blanks nor word characters.
+_DIFF_TOKENS = (
+    "exists", "forall", "and", "or", "not", "true", "false", "edge", "member",
+    "(", ")", ",", ":", ".", "=>", "=", ">", "=>>", "==>", "#", "# note", "\n",
+    "\r\n", "\r", "\t", " ", "\xa0", "\ufeff", "é", "²", "٠", "Ⅻ", "x²", "aé",
+    "Ⅻa", "_", "_x", "1", "1a", "٠x", "x1", "@", ";", "x", "k", "Bob", "m1",
+    *(label.value for label in RelationLabel),
+    *(sort.value for sort in Sort),
+)  # fmt: skip
+_SEPARATORS = ("", " ", " ", "\n", "\r\n", "\t")
+
+
+def _random_token_stream(rng: random.Random) -> str:
+    text = "".join(
+        rng.choice(_DIFF_TOKENS) + rng.choice(_SEPARATORS) for _ in range(rng.randint(0, 30))
+    )
+    return text + "# end of input" if rng.random() < 0.2 else text
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """``text`` with up to three edits, each deleting a character, replacing
+    one with a token or inserting a token."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        filler = rng.choice(("", rng.choice(_DIFF_TOKENS)))
+        text = text[:i] + filler + text[i + rng.randint(0, 1) :]
+    return text
+
+
+def _differential_texts() -> list[str]:
+    rng = random.Random(20240611)
+    texts = [entry.source for entry in corpus()]
+    texts += [_random_token_stream(rng) for _ in range(8000)]
+    for _ in range(4000):
+        text = pretty_print(random_policy_ast(rng, max_quantifiers=4, max_depth=5))
+        texts.append(_edited(rng, text) if rng.random() < 0.6 else text)
+    return texts
+
+
+def test_lexer_and_parser_agree_with_the_oracle():
+    """Same AST, or same error class, message, position and expected set,
+    on the corpus, random token streams and (edited) printed ASTs."""
+    texts = _differential_texts()
+    outcomes = [(outcome(parse_policy, t), outcome(oracle_parse, t)) for t in texts]
+    differ = [t for t, (new, old) in zip(texts, outcomes) if new != old]
+    assert not differ, differ[:5]
+    errors = sum(isinstance(new, tuple) for new, _ in outcomes)
+    assert 0.3 * len(texts) < errors < 0.9 * len(texts)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("1a", "unexpected character '1'", (1, 1)),
+        ("x and ²", "unexpected character '²'", (1, 7)),
+        ("x\xa0and y", "unexpected character '\\xa0'", (1, 2)),
+        ("\ufefftrue", "unexpected character '\\ufeff'", (1, 1)),
+        ("true =\n> false", "unexpected character '='", (1, 6)),
+        ("true and # c", "expected an atom", (1, 10)),
+        ("true and\r\n  # c\n", "expected an atom", (3, 1)),
+    ],
+)
+def test_lexer_edge_cases_keep_their_errors(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_policy(text)
+    assert str(err.value).startswith(message)
+    assert (err.value.line, err.value.column) == position
+    assert outcome(oracle_parse, text) == outcome(parse_policy, text)
+
+
+def test_words_may_hold_numerals_and_letters_of_any_script():
+    ast = parse_policy("member(xé²Ⅻ٠, _s)")
+    assert ast == MemberAtom(ConstRef("xé²Ⅻ٠"), "_s")
 
 
 # ---------------------------------------------------------------------------
