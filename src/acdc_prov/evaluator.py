@@ -7,22 +7,21 @@ the binding left unresolved evaluate to false and contribute a diagnostic
 note. Vertex-id domains are enumerated in lexicographic order, which makes
 witnesses and counterexamples deterministic.
 
-``evaluate`` compiles the policy, once per call, into a plan of closures:
-variables and resolved constants are slots of one list, each quantifier holds
-its sorted domain, each maximal ``and``/``or``/``=>`` chain is one n-ary node.
-It short-circuits left to right as a walk of the AST would, so it tests the
-same atoms in the same order; each atom is one probe of the graph's edge
-index. Drawing candidates from that index to prune assignments waits on a
-benchmark that can time faster passes. ``evaluate_naive`` recomputes the same
-semantics by materialising every sort domain and the full Cartesian product
-of quantified assignments without any pruning. The two must always agree --
-the naive route exists as an independent oracle for the optimised one and
-must not be folded into it.
+``evaluate`` compiles the whole policy, once per call, into a plan of
+closures: variables and resolved constants are slots of one list, each
+quantifier (the leading chain's too) holds its sorted domain and stops at the
+value that settles it, and each maximal ``and``/``or``/``=>`` chain is one
+n-ary node. It short-circuits left to right as a walk of the AST would,
+testing the same atoms in the same order, each one probe of the graph's edge
+index; on return the chain's slots hold the settling assignment.
+``evaluate_naive`` recomputes the same semantics by materialising every sort
+domain and the full Cartesian product of quantified assignments without any
+pruning. The two must always agree -- the naive route exists as an
+independent oracle for the optimised one and must not be folded into it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -223,31 +222,27 @@ def evaluate(policy: BoundPolicy, graph: ProvGraph) -> Verdict:
     chain; unsatisfied policies under a universal chain come with a
     counterexample.
 
-    The leading chain is searched once, its assignments in lexicographic
-    order (outermost variable slowest); the first assignment that settles
-    the verdict is the witness or counterexample.
+    The leading chain runs as the plan's own nested quantifiers, trying
+    assignments in lexicographic order (outermost variable slowest). Each
+    stops at the value that settles it and leaves it in its slot, so the
+    chain's slots, the plan's first, hold the witness or counterexample.
+    Each quantifier is one nested call, so an AST about 1000 quantifiers
+    deep raises RecursionError, as ``pretty_print`` does; parsing stops at
+    100 levels.
     """
     _require_valid(graph)
     plan = _Plan(policy, graph)
-    names, domains, body = [], [], policy.ast
-    while isinstance(body, (Exists, Forall)) and type(body) is type(policy.ast):
-        names.append(body.var)
-        domains.append(plan.domain(body.sort))
-        body = body.body
-    # The chain's variables take the first slots; a repeated name is the inner one.
-    run = plan.compile(body, {name: plan.slot() for name in names})
-    existential = isinstance(policy.ast, Exists)
-    satisfied, settling = not existential, None
-    slots, width = plan.slots, len(names)
-    for values in itertools.product(*domains):  # one empty assignment if no chain
-        slots[:width] = values
-        if run() is existential:
-            satisfied, settling = existential, dict(zip(names, values)) or None
-            break
+    satisfied = plan.compile(policy.ast, {})()
+    names, node, kind = [], policy.ast, type(policy.ast)
+    while type(node) is kind and kind in (Exists, Forall):
+        names.append(node.var)
+        node = node.body
+    # A repeated name is the inner one, as in the body.
+    settling = dict(zip(names, plan.slots)) or None
     return Verdict(
         satisfied=satisfied,
-        witness=settling if satisfied else None,
-        counterexample=None if satisfied else settling,
+        witness=settling if satisfied and kind is Exists else None,
+        counterexample=None if satisfied or kind is Exists else settling,
         diagnostics=tuple(plan.notes),
     )
 

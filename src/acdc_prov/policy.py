@@ -565,8 +565,9 @@ def bind(ast: Policy, env: Environment, strict: bool = False) -> BoundPolicy:
 
     Non-strict binding records unresolved names and leaves them to falsify
     the atoms that mention them at evaluation time; strict binding raises
-    StrictBindingError instead. Whether a resolved vertex id exists in any
-    particular graph is checked at evaluation time, not here.
+    StrictBindingError instead. Nothing checks that a resolved vertex id
+    exists in the graph evaluated: an edge atom naming an absent id is
+    false, with no note, and a membership atom only compares ids.
     """
     constant_names, set_names = referenced_names(ast)
     constants = {n: env.constants[n] for n in constant_names if n in env.constants}

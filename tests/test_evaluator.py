@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from acdc_prov.evaluator import (
     evaluate,
     evaluate_naive,
 )
-from acdc_prov import graph as graph_module
+from acdc_prov import evaluator, graph as graph_module
 from acdc_prov.graph import (
     LabeledEdge,
     MissingVertexError,
@@ -45,8 +47,8 @@ from acdc_prov.policy import (
     parse_policy,
     pretty_print,
 )
-from acdc_prov.scenarios import corpus, corpus_graphs
-from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
+from acdc_prov.scenarios import corpus, corpus_by_name, corpus_graphs
+from acdc_prov.storage import load_environment, load_graph, load_graph_unchecked, save_graph
 from randgen import (
     SORTS,
     VAR_NAMES,
@@ -442,6 +444,146 @@ def test_witnesses_and_counterexamples_follow_their_definition_on_random_inputs(
     for name in reversed(names):
         ast = quantifier(name, rng.choice(SORTS), ast)
     _assert_settled_by_definition(bind(ast, random_environment(rng, graph)), graph)
+
+
+# ---------------------------------------------------------------------------
+# the leading chain as a loop: the search the plan's quantifiers replaced
+# ---------------------------------------------------------------------------
+
+
+def _chain_loop_verdict(bound, graph):
+    """``evaluate`` with its leading quantifier chain run as a loop, as it
+    was before the chain became part of the plan: the chain's variables
+    take the plan's first slots, the body alone is compiled, and the
+    product over the chain's domains is written into those slots one
+    assignment at a time until the body returns the chain's settling
+    value. That assignment is the witness or counterexample."""
+    evaluator._require_valid(graph)
+    plan = evaluator._Plan(bound, graph)
+    names, domains, body = [], [], bound.ast
+    while isinstance(body, (Exists, Forall)) and type(body) is type(bound.ast):
+        names.append(body.var)
+        domains.append(plan.domain(body.sort))
+        body = body.body
+    run = plan.compile(body, {name: plan.slot() for name in names})
+    existential = isinstance(bound.ast, Exists)
+    satisfied, settling = not existential, None
+    slots, width = plan.slots, len(names)
+    for values in itertools.product(*domains):  # one empty assignment if no chain
+        slots[:width] = values
+        if run() is existential:
+            satisfied, settling = existential, dict(zip(names, values)) or None
+            break
+    return Verdict(
+        satisfied=satisfied,
+        witness=settling if satisfied else None,
+        counterexample=None if satisfied else settling,
+        diagnostics=tuple(plan.notes),
+    )
+
+
+def _outcome(route, bound, graph):
+    try:
+        return route(bound, graph)
+    except ValueError as error:  # a variable outside every quantifier
+        return type(error), str(error)
+
+
+def _assert_same_as_the_chain_loop(bound, graph):
+    expected = _outcome(_chain_loop_verdict, bound, graph)
+    assert _outcome(evaluate, bound, graph) == expected
+
+
+def test_the_chain_loop_agrees_on_the_corpus():
+    for graph in corpus_graphs().values():
+        for entry in corpus():
+            _assert_same_as_the_chain_loop(entry.bound(), graph)
+
+
+def test_the_chain_loop_agrees_on_random_inputs():
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        # The chain may bind a name twice; the body may also name "t",
+        # which no quantifier binds.
+        names = [rng.choice(VAR_NAMES[:3]) for _ in range(rng.randint(1, 3))]
+        scope = (*dict.fromkeys(names), *(("t",) if rng.random() < 0.15 else ()))
+        ast = random_policy_ast(rng, max_quantifiers=1, max_depth=3, scope=scope)
+        quantifier = rng.choice((Exists, Forall))
+        for name in reversed(names):
+            ast = quantifier(name, rng.choice(SORTS), ast)
+        bound = bind(ast, random_environment(rng, graph))
+        _assert_same_as_the_chain_loop(bound, graph)
+        verdict = _outcome(evaluate, bound, graph)
+        if isinstance(verdict, tuple):
+            outcomes.add("unbound variable")
+        else:
+            outcomes.add((quantifier, verdict.satisfied, bool(verdict.diagnostics)))
+    # Every kind of outcome occurred, so none of them agreed vacuously.
+    assert len(outcomes) == 9
+
+
+def _population():
+    """``perfbench/population.py``, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "population.py"
+    spec = importlib.util.spec_from_file_location("population", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["population"] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_same_on_a_history(voters, owners, booth_policies, owner_policies):
+    """Both routes on a seeded population history: each of
+    ``booth_policies`` under the history's booth environment, each of
+    ``owner_policies`` under every owner's."""
+    population = _population()
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
+    graph = load_graph(history.document())
+    booth = load_environment(history.booth_environment())
+    entries = corpus_by_name()
+    for name in booth_policies:
+        _assert_same_as_the_chain_loop(entries[name].bound(booth), graph)
+    for owner in history.owners:
+        env = load_environment(owner.environment())
+        for name in owner_policies:
+            _assert_same_as_the_chain_loop(entries[name].bound(env), graph)
+
+
+_ENCAPSULATION_POLICIES = [f"p{i}" for i in range(1, 10)] + ["encapsulate_all"]
+
+
+def test_the_chain_loop_agrees_on_an_audit_sized_history():
+    # 177 vertices: every corpus policy under the booth environment and
+    # under every owner's, which leaves the voting policies' contracts
+    # unresolved. count_done under an owner's walks its whole 4-variable
+    # product, 0.4 s a call, so it has the booth environment only.
+    names = [entry.name for entry in corpus()]
+    _assert_same_on_a_history(10, 6, names, [n for n in names if n != "count_done"])
+
+
+def test_the_chain_loop_agrees_on_an_872_vertex_history():
+    # count_done is left out: it takes most of a minute at this size.
+    booth_policies = ["receipt_attributed", "blacklisted_actor"]
+    _assert_same_on_a_history(60, 10, booth_policies, _ENCAPSULATION_POLICIES)
+
+
+@pytest.mark.parametrize("depth", [100, 400])
+@pytest.mark.parametrize("quantifier, body", [(Exists, Const(True)), (Forall, Const(False))])
+def test_a_leading_chain_hundreds_deep_settles_every_variable(
+    encapsulation, depth, quantifier, body
+):
+    # Each quantifier of the chain is one nested call; a chain about as
+    # deep as the interpreter's recursion limit raises RecursionError.
+    names = [f"x{i}" for i in range(depth)]
+    ast = body
+    for name in reversed(names):
+        ast = quantifier(name, Sort.VERTEX, ast)
+    verdict = evaluate(bind(ast, Environment()), encapsulation)
+    settling = dict.fromkeys(names, min(encapsulation.vertices))
+    assert verdict.satisfied is (quantifier is Exists)
+    assert (verdict.witness or verdict.counterexample) == settling
 
 
 # ---------------------------------------------------------------------------
