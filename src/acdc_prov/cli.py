@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +20,7 @@ from .evaluator import EvaluationError, evaluate
 from .events import EventError, extract_event, slice_by_agent
 from .graph import GraphError
 from .policy import Environment, PolicyError, bind, parse_policy
-from .scenarios import SCENARIO_NAMES, run_scenario
+from .scenarios import SCENARIO_NAMES, _CORPUS, run_scenario
 from .storage import (
     MalformedDocumentError,
     load_environment,
@@ -41,7 +40,7 @@ def corpus_dir() -> Path:
     override = os.environ.get(_CORPUS_DIR_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("acdc_prov").joinpath("corpus")))
+    return Path(str(_CORPUS))
 
 
 def _resolve(argument: str) -> Path:

@@ -269,7 +269,10 @@ class ProvGraph:
 
         Both endpoints must exist, the endpoint kinds must be admitted by
         the label, and the edge must not close a directed cycle. Adding an
-        edge that is already present is a no-op.
+        edge that is already present is a no-op. Each call copies the graph
+        and rebuilds its successor map, so chaining calls costs time
+        quadratic in the edge count; ``storage.load_graph`` checks a whole
+        list of records in one pass.
         """
         edge = LabeledEdge(src, dst, label)
         if edge in self.edges and src in self.vertices and dst in self.vertices:

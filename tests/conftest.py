@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+from acdc_prov import graph as graph_module
 from acdc_prov.graph import ProvGraph
 from acdc_prov.scenarios import (
     BALLOT_STEPS,
@@ -36,3 +38,26 @@ def alice_trace() -> ProvGraph:
 @pytest.fixture
 def entries() -> dict[str, CorpusPolicy]:
     return corpus_by_name()
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The graphs whose validation report gets computed, and the vertex
+    sets Tarjan's search runs over, each in call order."""
+    reports, searches = [], []
+    compute = ProvGraph.__dict__["_report"].func
+    search = graph_module._strongly_connected
+
+    def counting_report(self):
+        reports.append(self)
+        return compute(self)
+
+    def counting_search(vertex_ids, successors):
+        searches.append(sorted(vertex_ids))
+        return search(vertex_ids, successors)
+
+    report = cached_property(counting_report)
+    report.__set_name__(ProvGraph, "_report")
+    monkeypatch.setattr(ProvGraph, "_report", report)
+    monkeypatch.setattr(graph_module, "_strongly_connected", counting_search)
+    return reports, searches

@@ -8,7 +8,6 @@ import itertools
 import json
 import random
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from acdc_prov.evaluator import (
     evaluate,
     evaluate_naive,
 )
-from acdc_prov import evaluator, graph as graph_module
+from acdc_prov import evaluator
 from acdc_prov.graph import (
     LabeledEdge,
     MissingVertexError,
@@ -237,29 +236,6 @@ def test_invalid_graph_error_carries_details(entries):
     with pytest.raises(InvalidGraphError) as err:
         evaluate(_bound(entries, "p1"), _badly_typed_graph())
     assert err.value.violations
-
-
-@pytest.fixture
-def validations(monkeypatch):
-    """The graphs whose validation report gets computed, and the vertex
-    sets Tarjan's search runs over, each in call order."""
-    reports, searches = [], []
-    compute = ProvGraph.__dict__["_report"].func
-    search = graph_module._strongly_connected
-
-    def counting_report(self):
-        reports.append(self)
-        return compute(self)
-
-    def counting_search(vertex_ids, successors):
-        searches.append(sorted(vertex_ids))
-        return search(vertex_ids, successors)
-
-    report = cached_property(counting_report)
-    report.__set_name__(ProvGraph, "_report")
-    monkeypatch.setattr(ProvGraph, "_report", report)
-    monkeypatch.setattr(graph_module, "_strongly_connected", counting_search)
-    return reports, searches
 
 
 def test_a_graph_is_validated_once_across_evaluations(entries, alice_trace, validations):

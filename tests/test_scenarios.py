@@ -6,7 +6,7 @@ import pytest
 
 from acdc_prov import scenarios
 from acdc_prov.evaluator import evaluate
-from acdc_prov.graph import RelationLabel, VertexKind
+from acdc_prov.graph import GraphError, ProvGraph, RelationLabel, VertexKind, union
 from acdc_prov.policy import Environment, parse_policy
 from acdc_prov.scenarios import (
     BALLOT_STEPS,
@@ -14,6 +14,7 @@ from acdc_prov.scenarios import (
     InvalidStepSequenceError,
     VotingStep,
     build_encapsulate_event,
+    build_encapsulate_with_foreign_inputs,
     build_two_state_trace,
     build_voting_trace,
     corpus,
@@ -161,6 +162,177 @@ def test_two_state_trace_shares_only_voter_and_meets_at_machines(alice_trace):
     )
     # the first trace survives unchanged inside the union
     assert alice_trace.edges <= combined.edges
+
+
+# ---------------------------------------------------------------------------
+# builders against the chained insertions they replaced
+# ---------------------------------------------------------------------------
+
+_K = VertexKind
+_R = RelationLabel
+
+
+def chained_encapsulate_event(owner):
+    owner_key = f"Key_{owner}"
+    g = ProvGraph()
+    g = g.add_vertex(owner, _K.ACCOUNT_AGENT)
+    g = g.add_vertex("sgx", _K.NODE_AGENT)
+    g = g.add_vertex("Encapsulate", _K.ACTIVITY)
+    g = g.add_vertex("Plaintext", _K.DATA_ENTITY)
+    g = g.add_vertex("EncapsulateContract", _K.CONTRACT_ENTITY)
+    g = g.add_vertex("Key_SGX", _K.KEY_ENTITY)
+    g = g.add_vertex(owner_key, _K.KEY_ENTITY)
+    g = g.add_vertex("SecureCapsule", _K.DATA_ENTITY)
+    g = g.add_edge("sgx", owner, _R.ACTED_ON_BEHALF_OF)
+    g = g.add_edge("Encapsulate", "sgx", _R.WAS_ASSOCIATED_WITH)
+    for used in ("Plaintext", "EncapsulateContract", "Key_SGX", owner_key):
+        g = g.add_edge("Encapsulate", used, _R.USED)
+    g = g.add_edge("SecureCapsule", "Encapsulate", _R.WAS_GENERATED_BY)
+    for source in ("EncapsulateContract", owner_key, "Plaintext", "Key_SGX"):
+        g = g.add_edge("SecureCapsule", source, _R.WAS_DERIVED_FROM)
+    g = g.add_edge("Key_SGX", "sgx", _R.WAS_ATTRIBUTED_TO)
+    for owned in ("Plaintext", owner_key, "SecureCapsule"):
+        g = g.add_edge(owned, owner, _R.WAS_ATTRIBUTED_TO)
+    return g
+
+
+def chained_encapsulate_with_foreign_inputs(owner, outsider):
+    foreign_key = f"Key_{outsider}"
+    foreign_data = f"Plaintext_{outsider}"
+    g = chained_encapsulate_event(owner)
+    g = g.add_vertex(outsider, _K.ACCOUNT_AGENT)
+    g = g.add_vertex(foreign_key, _K.KEY_ENTITY)
+    g = g.add_vertex(foreign_data, _K.DATA_ENTITY)
+    g = g.add_edge("Encapsulate", foreign_key, _R.USED)
+    g = g.add_edge("Encapsulate", foreign_data, _R.USED)
+    g = g.add_edge(foreign_key, outsider, _R.WAS_ATTRIBUTED_TO)
+    g = g.add_edge(foreign_data, outsider, _R.WAS_ATTRIBUTED_TO)
+    return g
+
+
+def chained_voting_trace(voter, machine, steps):
+    """The chained builder for a legal ``steps``; it checks no order."""
+    g = ProvGraph()
+    g = g.add_vertex(voter, _K.ACCOUNT_AGENT)
+    g = g.add_vertex(machine, _K.NODE_AGENT)
+    g = g.add_edge(machine, voter, _R.ACTED_ON_BEHALF_OF)
+    for step in steps:
+        activity = step.value
+        contract = f"{step.value}Contract"
+        g = g.add_vertex(activity, _K.ACTIVITY)
+        g = g.add_vertex(contract, _K.CONTRACT_ENTITY)
+        g = g.add_edge(activity, machine, _R.WAS_ASSOCIATED_WITH)
+        g = g.add_edge(activity, contract, _R.USED)
+        output = scenarios._STEP_OUTPUTS[step]
+        if output is not None:
+            output_id, output_kind = output
+            owner = machine if step is VotingStep.COUNT else voter
+            g = g.add_vertex(output_id, output_kind)
+            g = g.add_edge(output_id, activity, _R.WAS_GENERATED_BY)
+            g = g.add_edge(output_id, contract, _R.WAS_DERIVED_FROM)
+            g = g.add_edge(output_id, owner, _R.WAS_ATTRIBUTED_TO)
+    return g
+
+
+def chained_two_state_trace(voter, first_machine, second_machine):
+    first = chained_voting_trace(voter, first_machine, BALLOT_STEPS)
+    second = chained_voting_trace(voter, second_machine, (VotingStep.KEY_GEN,))
+    keep = {voter, second_machine}
+    mapping = {
+        vid: f"{second_machine}/{vid}" for vid in second.vertices if vid not in keep
+    }
+    return union(first, second.renamed(mapping))
+
+
+def assert_same_graph(built, chained):
+    """Equal vertices (ids, kinds and attrs, in insertion order) and edges."""
+    assert [
+        (vid, v.id, v.kind, dict(v.attrs)) for vid, v in built.vertices.items()
+    ] == [(vid, v.id, v.kind, dict(v.attrs)) for vid, v in chained.vertices.items()]
+    assert built.edges == chained.edges
+
+
+LEGAL_STEPS = [
+    (*BALLOT_STEPS[:done], *closing)
+    for done in range(len(BALLOT_STEPS) + 1)
+    for closing in ((), (VotingStep.EXIT,))
+]
+
+
+@pytest.mark.parametrize("voter, machine", [("Alice", "m1"), ("Mallory", "booth-7")])
+@pytest.mark.parametrize("steps", LEGAL_STEPS, ids=lambda s: "-".join(x.value for x in s))
+def test_voting_trace_matches_the_chained_builder(voter, machine, steps):
+    assert_same_graph(
+        build_voting_trace(voter, machine, steps),
+        chained_voting_trace(voter, machine, steps),
+    )
+
+
+# The second and third pairs re-add ids the clean run already holds, with
+# the same kind: the outsider is the owner, or "Key_SGX" is the foreign key.
+@pytest.mark.parametrize(
+    "owner, outsider", [("Bob", "Mallory"), ("Carol", "Carol"), ("Dave", "SGX")]
+)
+def test_encapsulation_builders_match_the_chained_builders(owner, outsider):
+    assert_same_graph(build_encapsulate_event(owner), chained_encapsulate_event(owner))
+    assert_same_graph(
+        build_encapsulate_with_foreign_inputs(owner, outsider),
+        chained_encapsulate_with_foreign_inputs(owner, outsider),
+    )
+
+
+@pytest.mark.parametrize("voter, first, second", [("Alice", "m1", "m2"), ("Bob", "b", "a")])
+def test_two_state_trace_matches_the_chained_builder(voter, first, second):
+    assert_same_graph(
+        build_two_state_trace(voter, first, second),
+        chained_two_state_trace(voter, first, second),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_voting_trace("m1", "m1", ()),
+        lambda: build_voting_trace("Ballot", "m1", BALLOT_STEPS),
+        lambda: build_encapsulate_event("sgx"),
+        lambda: build_encapsulate_with_foreign_inputs("Bob", "Encapsulate"),
+    ],
+    ids=["voter-is-machine", "voter-is-an-output", "owner-is-sgx", "outsider-is-activity"],
+)
+def test_a_name_taken_by_another_kind_is_refused(build):
+    with pytest.raises(GraphError):
+        build()
+
+
+def test_builders_insert_nothing_one_at_a_time(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder inserted a vertex or an edge on its own")
+
+    monkeypatch.setattr(ProvGraph, "add_vertex", refuse)
+    monkeypatch.setattr(ProvGraph, "add_edge", refuse)
+    assert len(corpus_graphs()) == 7
+    for steps in LEGAL_STEPS:
+        build_voting_trace("Alice", "m1", steps)
+    build_encapsulate_with_foreign_inputs("Carol", "Carol")
+    for name in SCENARIO_NAMES:
+        assert all(check.ok for check in run_scenario(name))
+
+
+def test_evaluate_validates_no_builder_graph(entries, validations):
+    graphs = [graph for name, graph in corpus_graphs().items() if name != "empty"]
+    graphs.append(build_voting_trace("Alice", "m1", (VotingStep.KEY_GEN, VotingStep.EXIT)))
+    reports, searches = validations
+    reports.clear()  # union validates the two-state trace while building it
+    for graph in graphs:
+        for entry in entries.values():
+            evaluate(entry.bound(), graph)
+    assert reports == [] and searches == []
+
+
+@pytest.mark.parametrize("name", ["encapsulate", "blacklist", "manipulation"])
+def test_scenarios_without_slices_validate_nothing(name, validations):
+    assert all(check.ok for check in run_scenario(name))
+    assert validations == ([], [])
 
 
 # ---------------------------------------------------------------------------
