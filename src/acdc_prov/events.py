@@ -49,6 +49,16 @@ class Event:
     activity: str
 
 
+def _typed(graph: ProvGraph, vid: str, kind: VertexKind, missing: type) -> Vertex:
+    """``vid``'s vertex; ``missing`` if absent, WrongKindError if not ``kind``."""
+    vertex = graph.vertices.get(vid)
+    if vertex is None:
+        raise missing(f"no vertex '{vid}' in the graph")
+    if vertex.kind is not kind:
+        raise WrongKindError(f"'{vid}' has kind {vertex.kind.value}, expected {kind.value}")
+    return vertex
+
+
 def extract_event(graph: ProvGraph, activity: str) -> Event:
     """Cut the event subgraph around ``activity``.
 
@@ -58,14 +68,7 @@ def extract_event(graph: ProvGraph, activity: str) -> Event:
     agents act on behalf of, with every edge of ``graph`` whose source and
     destination are both included.
     """
-    vertex = graph.vertices.get(activity)
-    if vertex is None:
-        raise NoSuchActivityError(f"no vertex '{activity}' in the graph")
-    if vertex.kind is not VertexKind.ACTIVITY:
-        raise WrongKindError(
-            f"'{activity}' has kind {vertex.kind.value}, expected activity"
-        )
-
+    _typed(graph, activity, VertexKind.ACTIVITY, NoSuchActivityError)
     inputs = {e.dst for e in graph.out_edges(activity, RelationLabel.USED)}
     outputs = {e.src for e in graph.in_edges(activity, RelationLabel.WAS_GENERATED_BY)}
     entities = inputs | outputs
@@ -96,15 +99,7 @@ def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
     ``agent`` must be an account agent; the agent vertex itself is always
     part of the slice, even when it appears in no event.
     """
-    vertex = graph.vertices.get(agent)
-    if vertex is None:
-        raise NoSuchAgentError(f"no vertex '{agent}' in the graph")
-    if vertex.kind is not VertexKind.ACCOUNT_AGENT:
-        raise WrongKindError(
-            f"'{agent}' has kind {vertex.kind.value}, expected account_agent"
-        )
-
-    vertices: dict[str, Vertex] = {agent: vertex}
+    vertices = {agent: _typed(graph, agent, VertexKind.ACCOUNT_AGENT, NoSuchAgentError)}
     edges: set[LabeledEdge] = set()
     for activity in sorted(graph.vertices_of_sort(Sort.ACTIVITY)):
         event = extract_event(graph, activity)

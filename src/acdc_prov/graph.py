@@ -96,6 +96,7 @@ _ENTITY_KINDS = (
     VertexKind.DATA_ENTITY,
 )
 _AGENT_KINDS = (VertexKind.NODE_AGENT, VertexKind.ACCOUNT_AGENT)
+_NO_ATTRS: Mapping[str, str] = MappingProxyType({})  # read-only, so vertices share it
 
 SORT_KINDS: Mapping[Sort, frozenset[VertexKind]] = {
     Sort.KEY_ENTITY: frozenset({VertexKind.KEY_ENTITY}),
@@ -172,14 +173,26 @@ class CycleIntroducedError(GraphError):
 
 @dataclass(frozen=True)
 class Vertex:
-    """A graph vertex: an id, a kind, and optional display attributes."""
+    """A vertex: a string id, not empty, a kind, and str-to-str attrs, all UTF-8."""
 
     id: str
     kind: VertexKind
     attrs: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "attrs", MappingProxyType(dict(self.attrs)))
+        vid, attrs = self.id, self.attrs
+        if not isinstance(vid, str) or not vid:
+            raise ValueError("vertex id must be a non-empty string")
+        vid.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a lone surrogate
+        if attrs or type(attrs) is not dict:  # no type tests on {}, the usual case
+            if not isinstance(attrs, Mapping) or not all(
+                isinstance(s, str) for item in attrs.items() for s in item
+            ):
+                raise ValueError("'attrs' must map strings to strings")
+            for text in (*attrs, *attrs.values()):
+                text.encode("utf-8")
+        attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
+        object.__setattr__(self, "attrs", attrs)
 
     def __reduce__(self):
         return Vertex, (self.id, self.kind, dict(self.attrs))
@@ -223,8 +236,8 @@ Cycle = tuple[str, ...]
 class ProvGraph:
     """A read-only typed provenance graph that validates at most once.
 
-    Direct construction bypasses the insertion checks; graphs built through
-    ``add_vertex``/``add_edge`` are always well typed and acyclic, and
+    Direct construction skips the edge checks, not ``Vertex``'s; graphs built
+    through ``add_vertex``/``add_edge`` are always well typed and acyclic, and
     ``validate_typing``/``validate_acyclic`` check any instance, once, and
     raise MissingVertexError for an edge whose endpoint is absent. A graph
     from ``storage.load_graph`` was checked while loading and never
@@ -248,11 +261,9 @@ class ProvGraph:
     ) -> ProvGraph:
         """Return a graph that also contains ``vertex_id`` of ``kind``.
 
-        Re-adding an existing (id, kind) pair is a no-op; reusing an id for
-        a different kind raises DuplicateIdError.
+        Re-adding an (id, kind) pair is a no-op. DuplicateIdError: the id is
+        taken by another kind; ValueError: the record breaks ``Vertex``'s rule.
         """
-        if not vertex_id:
-            raise ValueError("vertex id must be a non-empty string")
         existing = self.vertices.get(vertex_id)
         if existing is not None:
             if existing.kind is kind:
@@ -292,8 +303,6 @@ class ProvGraph:
         vertices: dict[str, Vertex] = {}
         for vid, vertex in self.vertices.items():
             new_id = rewrite(vid)
-            if not new_id:
-                raise ValueError("vertex id must be a non-empty string")
             if new_id in vertices:
                 raise DuplicateIdError(f"renaming maps two vertices onto '{new_id}'")
             vertices[new_id] = Vertex(new_id, vertex.kind, vertex.attrs)

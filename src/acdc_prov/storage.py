@@ -94,9 +94,8 @@ def _parse_graph_document(
     if not isinstance(raw_edges, list):
         raise MalformedDocumentError("'edges' must be a list")
 
-    # This loop runs once per record, so it formats a record's position only
-    # when raising, and looks names up in each enum's own value map rather
-    # than through the slower ``VertexKind(name)`` call.
+    # The id and kind are checked here, to report them before ``Vertex`` checks
+    # the rest; names are read from each enum's value map, faster than a call.
     kinds = VertexKind._value2member_map_
     vertices: dict[str, Vertex] = {}
     for i, record in enumerate(raw_vertices):
@@ -113,16 +112,13 @@ def _parse_graph_document(
         kind = kinds.get(kind_name)
         if kind is None:
             raise UnknownKindError(f"vertices[{i}]: unknown kind {kind_name!r}")
-        attrs = record.get("attrs", {})
-        if not isinstance(attrs, dict) or attrs and not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
-        ):
-            raise MalformedDocumentError(
-                f"vertices[{i}]: 'attrs' must map strings to strings"
-            )
+        try:
+            vertex = Vertex(vid, kind, record.get("attrs", {}))
+        except ValueError as exc:
+            raise MalformedDocumentError(f"vertices[{i}]: {exc}") from None
         if vid in vertices:
             raise MalformedDocumentError(f"vertices[{i}]: duplicate vertex id {vid!r}")
-        vertices[vid] = Vertex(vid, kind, attrs)
+        vertices[vid] = vertex
 
     labels = RelationLabel._value2member_map_
     edges: dict[LabeledEdge, None] = {}  # in document order

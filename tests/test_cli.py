@@ -240,10 +240,23 @@ def test_validate_json_report(tmp_path, capsys):
     assert report["cycles"] == [["x", "y"]]
 
 
-def test_validate_garbage_is_an_input_error(tmp_path, capsys):
-    path = _write(tmp_path, "garbage.json", "not json at all")
+_SURROGATE_ID = json.dumps(
+    {"version": "acdc-prov/1", "vertices": [{"id": "\ud800", "kind": "activity"}], "edges": []}
+)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("not json at all", "invalid JSON"),
+        (_SURROGATE_ID, "vertices[0]: 'utf-8' codec can't encode character '\\ud800'"),
+    ],
+    ids=["not-json", "surrogate-id"],
+)
+def test_validate_garbage_is_an_input_error(tmp_path, capsys, text, error):
+    path = _write(tmp_path, "garbage.json", text)
     assert main(["validate", str(path)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 def test_validate_missing_file(capsys):

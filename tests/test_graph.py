@@ -70,9 +70,29 @@ def test_add_vertex_rejects_kind_change():
         g.add_vertex("k", K.DATA_ENTITY)
 
 
-def test_add_vertex_rejects_empty_id():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProvGraph().add_vertex("", K.KEY_ENTITY),
+        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"x": 1}),
+        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {1: "x"}),
+        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"x": None}),
+        lambda: ProvGraph().add_vertex("\ud800", K.KEY_ENTITY),
+        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"\udfff": "x"}),
+        lambda: two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY).renamed({"a": ""}),
+        lambda: Vertex("k", K.KEY_ENTITY, None),
+        lambda: Vertex(7, K.KEY_ENTITY),
+    ],
+    ids=[
+        "empty-id", "int-value", "int-key", "none-value", "surrogate-id",
+        "surrogate-key", "renamed-to-empty", "attrs-none", "int-id",
+    ],
+)
+def test_a_vertex_record_that_breaks_the_rule_is_refused(make):
+    # Every vertex, however it is made, keeps one rule, so any graph of
+    # them saves to a document that loads back.
     with pytest.raises(ValueError):
-        ProvGraph().add_vertex("", K.KEY_ENTITY)
+        make()
 
 
 def test_vertex_attrs_are_kept():

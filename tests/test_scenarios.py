@@ -290,17 +290,25 @@ def test_two_state_trace_matches_the_chained_builder(voter, first, second):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, error",
     [
-        lambda: build_voting_trace("m1", "m1", ()),
-        lambda: build_voting_trace("Ballot", "m1", BALLOT_STEPS),
-        lambda: build_encapsulate_event("sgx"),
-        lambda: build_encapsulate_with_foreign_inputs("Bob", "Encapsulate"),
+        (lambda: build_voting_trace("m1", "m1", ()), GraphError),
+        (lambda: build_voting_trace("Ballot", "m1", BALLOT_STEPS), GraphError),
+        (lambda: build_encapsulate_event("sgx"), GraphError),
+        (lambda: build_encapsulate_with_foreign_inputs("Bob", "Encapsulate"), GraphError),
+        (lambda: build_voting_trace("", "m1", ()), ValueError),
+        (lambda: build_encapsulate_event(""), ValueError),
+        (lambda: build_encapsulate_with_foreign_inputs("Bob", ""), ValueError),
     ],
-    ids=["voter-is-machine", "voter-is-an-output", "owner-is-sgx", "outsider-is-activity"],
+    ids=[
+        "voter-is-machine", "voter-is-an-output", "owner-is-sgx", "outsider-is-activity",
+        "empty-voter", "empty-owner", "empty-outsider",
+    ],
 )
-def test_a_name_taken_by_another_kind_is_refused(build):
-    with pytest.raises(GraphError):
+def test_a_name_the_builders_cannot_use_is_refused(build, error):
+    # A name taken by another kind breaks an edge's typing; an empty name
+    # breaks the vertex record rule.
+    with pytest.raises(error):
         build()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -10,14 +11,16 @@ import random
 import subprocess
 import sys
 from importlib import resources
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import acdc_prov
 from acdc_prov import graph as graph_module
 from acdc_prov.evaluator import evaluate
+from acdc_prov.events import EventError, extract_event, slice_by_agent
 from acdc_prov.graph import (
     TYPING_RULES,
     CycleIntroducedError,
@@ -30,9 +33,18 @@ from acdc_prov.graph import (
     Vertex,
     VertexKind,
     _check_edge,
+    union,
 )
 from acdc_prov.policy import Environment
-from acdc_prov.scenarios import corpus, corpus_graphs
+from acdc_prov.scenarios import (
+    BALLOT_STEPS,
+    build_encapsulate_event,
+    build_encapsulate_with_foreign_inputs,
+    build_two_state_trace,
+    build_voting_trace,
+    corpus,
+    corpus_graphs,
+)
 from acdc_prov.storage import (
     FORMAT_VERSION,
     MalformedDocumentError,
@@ -132,6 +144,51 @@ def test_round_trip_preserves_random_graphs(seed):
     assert save_graph(load_graph(data)) == data
 
 
+_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+_ATTRS = st.dictionaries(_NAMES, _NAMES, max_size=2)
+_REFUSED = (GraphError, EventError, ValueError)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_every_graph_the_library_builds_saves_and_reloads(data):
+    # Each construction may refuse what it is given; what it builds must
+    # save to a document that loads back equal.
+    graphs: list[ProvGraph] = []
+
+    def keep(make, *args):
+        with contextlib.suppress(*_REFUSED):
+            graphs.append(make(*args))
+
+    name = partial(data.draw, _NAMES)
+    steps = BALLOT_STEPS[: data.draw(st.integers(0, len(BALLOT_STEPS)))]
+    keep(build_voting_trace, name(), name(), steps)
+    keep(build_two_state_trace, name(), name(), name())
+    keep(build_encapsulate_event, name())
+    keep(build_encapsulate_with_foreign_inputs, name(), name())
+    chained = ProvGraph()
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(VertexKind))
+        with contextlib.suppress(*_REFUSED):
+            chained = chained.add_vertex(name(), kind, data.draw(_ATTRS))
+    for _ in range(data.draw(st.integers(0, 8)) if chained.vertices else 0):
+        ends = st.sampled_from(sorted(chained.vertices))
+        label = data.draw(st.sampled_from(RelationLabel))
+        with contextlib.suppress(*_REFUSED):
+            chained = chained.add_edge(data.draw(ends), data.draw(ends), label)
+    graphs.append(chained)
+    keep(chained.renamed, {vid: name() for vid in chained.vertices})
+    keep(union, chained, *graphs[:2])
+    for graph in list(graphs):
+        for vid, vertex in graph.vertices.items():
+            if vertex.kind is VertexKind.ACTIVITY:
+                keep(lambda g, a: extract_event(g, a).subgraph, graph, vid)
+            elif vertex.kind is VertexKind.ACCOUNT_AGENT:
+                keep(slice_by_agent, graph, vid)
+    for graph in graphs:
+        assert load_graph_unchecked(save_graph(graph)) == graph
+
+
 def _module_at(path: Path):
     """Import the standalone script or module at ``path``."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -211,17 +268,78 @@ def test_rejects_duplicate_edges():
         load_graph(doc)
 
 
-def test_rejects_bad_attrs():
-    doc = _doc([{"id": "a", "kind": "activity", "attrs": {"n": 1}}], [])
-    with pytest.raises(MalformedDocumentError, match=r"vertices\[0\].*attrs"):
-        load_graph(doc)
+_LOADERS = pytest.mark.parametrize("load", [load_graph, load_graph_unchecked])
+_SURROGATE = "'utf-8' codec can't encode character '\\ud800' in position 0"
 
 
-def test_rejects_bad_id():
-    with pytest.raises(MalformedDocumentError, match=r"vertices\[0\].*id"):
-        load_graph(_doc([{"id": "", "kind": "activity"}], []))
-    with pytest.raises(MalformedDocumentError, match=r"vertices\[0\].*id"):
-        load_graph(_doc([{"kind": "activity"}], []))
+@_LOADERS
+@pytest.mark.parametrize(
+    "attrs, message",
+    [
+        ({"n": 1}, "'attrs' must map strings to strings"),
+        ([], "'attrs' must map strings to strings"),
+        (None, "'attrs' must map strings to strings"),
+        ({"n": "\ud800"}, _SURROGATE),
+        ({"\ud800": "n"}, _SURROGATE),
+    ],
+    ids=["int-value", "list", "null", "surrogate-value", "surrogate-key"],
+)
+def test_rejects_bad_attrs(load, attrs, message):
+    doc = _doc([{"id": "a", "kind": "activity", "attrs": attrs}], [])
+    with pytest.raises(MalformedDocumentError) as info:
+        load(doc)
+    assert str(info.value).startswith(f"vertices[0]: {message}")
+
+
+@_LOADERS
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "", "kind": "activity"}, "'id' must be a non-empty string"),
+        ({"kind": "activity"}, "'id' must be a non-empty string"),
+        ({"id": "\ud800", "kind": "activity"}, _SURROGATE),
+    ],
+    ids=["empty", "missing", "surrogate"],
+)
+def test_rejects_bad_id(load, record, message):
+    with pytest.raises(MalformedDocumentError) as info:
+        load(_doc([record], []))
+    assert str(info.value).startswith(f"vertices[0]: {message}")
+
+
+@_LOADERS
+@pytest.mark.parametrize(
+    "records, error, message",
+    [
+        (
+            [{"id": "", "kind": "activity", "attrs": {"x": 1}}],
+            MalformedDocumentError,
+            "vertices[0]: 'id' must be a non-empty string",
+        ),
+        (
+            [{"id": "a", "kind": "nope", "attrs": {"x": 1}}],
+            UnknownKindError,
+            "vertices[0]: unknown kind 'nope'",
+        ),
+        (
+            [{"id": "a", "kind": None, "attrs": None}],
+            MalformedDocumentError,
+            "vertices[0]: 'kind' must be a string",
+        ),
+        (
+            [{"id": "a", "kind": "activity"}, {"id": "a", "kind": "activity", "attrs": {"x": None}}],
+            MalformedDocumentError,
+            "vertices[1]: 'attrs' must map strings to strings",
+        ),
+    ],
+    ids=["bad-id-bad-attrs", "unknown-kind-bad-attrs", "bad-kind-bad-attrs", "bad-attrs-duplicate-id"],
+)
+def test_a_record_with_two_faults_reports_the_first(load, records, error, message):
+    # Faults are reported in record order: id, kind, attrs, then duplicate id.
+    with pytest.raises(MalformedDocumentError) as info:
+        load(_doc(records, []))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_rejects_invalid_json_with_position():
