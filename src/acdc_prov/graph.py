@@ -8,11 +8,12 @@ admits only a fixed set of (source kind, destination kind) combinations --
 see ``TYPING_RULES``.
 
 Graphs are read-only values, down to each vertex's ``attrs``, and validate
-at most once; every mutating operation returns a new graph. Vertex
-comparison and lookup are by id; ``attrs`` are display metadata only.
-As no graph changes once built, each indexes its edges once, on the first
-query, and keeps the index: destination ids per (source, label) answer
-``has_edge``, and per-vertex edge lists answer ``out_edges``/``in_edges``.
+at most once; every mutating operation returns a new graph. Vertices are
+looked up by id and compare by id, kind and attrs.
+As no graph changes once built, each keeps one adjacency: every vertex's
+outgoing and incoming edge lists, built from ``edges``, each direction once,
+on first use. Queries and checks read only these lists: ``has_edge`` scans
+the source's out-list, so it costs the source's out-degree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -231,6 +233,8 @@ class TypeViolation:
 Cycle = tuple[str, ...]
 """A directed cycle, reported as the vertex-id sequence it passes through."""
 
+_OutLists = Mapping[str, Collection[LabeledEdge]]  # out-lists, from ``_edge_lists``
+
 
 @dataclass(frozen=True)
 class ProvGraph:
@@ -248,7 +252,12 @@ class ProvGraph:
     edges: frozenset[LabeledEdge] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", MappingProxyType(dict(self.vertices)))
+        vertices: dict[str, Vertex] = {}
+        for vid, vertex in self.vertices.items():
+            if vid != vertex.id:
+                raise ValueError(f"vertices key {vid!r} is not its vertex's id")
+            vertices[vid] = vertex
+        object.__setattr__(self, "vertices", MappingProxyType(vertices))
         object.__setattr__(self, "edges", frozenset(self.edges))
 
     def __reduce__(self):
@@ -280,15 +289,15 @@ class ProvGraph:
 
         Both endpoints must exist, the endpoint kinds must be admitted by
         the label, and the edge must not close a directed cycle. Adding an
-        edge that is already present is a no-op. Each call copies the graph
-        and rebuilds its successor map, so chaining calls costs time
-        quadratic in the edge count; ``storage.load_graph`` checks a whole
-        list of records in one pass.
+        edge that is already present is a no-op. Each call reads this graph's
+        out-lists and copies its edges into a graph that builds its own, so
+        chaining calls costs time quadratic in the edge count;
+        ``storage.load_graph`` checks a whole list of records in one pass.
         """
         edge = LabeledEdge(src, dst, label)
         if edge in self.edges and src in self.vertices and dst in self.vertices:
             return self
-        _check_edge(self.vertices, _successors(self.edges), edge)
+        _check_edge(self.vertices, self._outgoing, edge)
         return ProvGraph(self.vertices, self.edges | {edge})
 
     def renamed(self, mapping: Mapping[str, str]) -> ProvGraph:
@@ -315,7 +324,10 @@ class ProvGraph:
 
     def has_edge(self, src: str, dst: str, label: RelationLabel) -> bool:
         """Return True iff the labeled edge is present."""
-        return dst in self._index[0].get((src, label), ())
+        for edge in self._outgoing.get(src, ()):
+            if edge.dst == dst and edge.label is label:
+                return True
+        return False
 
     def kind_of(self, vertex_id: str) -> VertexKind:
         """Return the kind of ``vertex_id`` (MissingVertexError if absent)."""
@@ -333,7 +345,7 @@ class ProvGraph:
         self, src: str, label: RelationLabel | None = None
     ) -> Iterator[LabeledEdge]:
         """Yield edges leaving ``src`` (optionally restricted to ``label``)."""
-        for edge in self._index[1].get(src, ()):
+        for edge in self._outgoing.get(src, ()):
             if label is None or edge.label is label:
                 yield edge
 
@@ -341,21 +353,12 @@ class ProvGraph:
         self, dst: str, label: RelationLabel | None = None
     ) -> Iterator[LabeledEdge]:
         """Yield edges entering ``dst`` (optionally restricted to ``label``)."""
-        for edge in self._index[2].get(dst, ()):
+        for edge in self._incoming.get(dst, ()):
             if label is None or edge.label is label:
                 yield edge
 
-    @cached_property
-    def _index(self) -> tuple[dict, dict, dict]:
-        """The adjacency of ``edges``, built in one pass on the first query."""
-        targets: dict[tuple[str, RelationLabel], set[str]] = {}
-        outgoing: dict[str, list[LabeledEdge]] = {}
-        incoming: dict[str, list[LabeledEdge]] = {}
-        for edge in self.edges:
-            targets.setdefault((edge.src, edge.label), set()).add(edge.dst)
-            outgoing.setdefault(edge.src, []).append(edge)
-            incoming.setdefault(edge.dst, []).append(edge)
-        return targets, outgoing, incoming
+    _outgoing = cached_property(lambda self: _edge_lists(self.edges, "src"))
+    _incoming = cached_property(lambda self: _edge_lists(self.edges, "dst"))
 
     # -- validation ----------------------------------------------------------
 
@@ -376,28 +379,28 @@ class ProvGraph:
         """Both reports from one ``_scan``. Tarjan's search runs only if its
         Kahn drain leaves vertices, and only over those: every cycle lies
         among them."""
-        violations, successors, undrained = _scan(self.vertices, self.edges)
+        outgoing = self._outgoing
+        violations, undrained = _scan(self.vertices, outgoing)
         cycles: list[Cycle] = []
         if undrained:
-            for component in _strongly_connected(undrained, successors):
+            for component in _strongly_connected(undrained, outgoing):
                 start = min(component)
-                if len(component) > 1 or start in successors.get(start, ()):
-                    cycles.append(_walk(successors, start, start))
+                targets = {edge.dst for edge in outgoing.get(start, ())}
+                if len(component) > 1 or start in targets:
+                    cycles.append(_walk(outgoing, start, start))
         cycles.sort(key=lambda c: (min(c), len(c), c))
         return tuple(violations), tuple(cycles)
 
 
-def _successors(edges: Iterable[LabeledEdge]) -> dict[str, set[str]]:
-    """Map each edge source to the ids its edges point at."""
-    successors: dict[str, set[str]] = {}
+def _edge_lists(edges: Iterable[LabeledEdge], end: str) -> dict[str, list[LabeledEdge]]:
+    """Each vertex's edges, in the order of ``edges``, keyed by its id at ``end``."""
+    lists: dict[str, list[LabeledEdge]] = {}
     for edge in edges:
-        successors.setdefault(edge.src, set()).add(edge.dst)
-    return successors
+        lists.setdefault(getattr(edge, end), []).append(edge)
+    return lists
 
 
-def _walk(
-    successors: Mapping[str, Collection[str]], origin: str, target: str
-) -> tuple[str, ...] | None:
+def _walk(outgoing: _OutLists, origin: str, target: str) -> tuple[str, ...] | None:
     """The shortest walk ``origin .. v`` such that ``v -> target`` is an edge,
     or None; a closed walk when ``origin == target``.
 
@@ -409,7 +412,7 @@ def _walk(
     queue: deque[str] = deque([origin])
     while queue:
         vid = queue.popleft()
-        for nxt in sorted(successors.get(vid, ())):
+        for nxt in sorted([edge.dst for edge in outgoing.get(vid, ())]):
             if nxt == target:
                 walk: list[str] = []
                 node: str | None = vid
@@ -425,12 +428,10 @@ def _walk(
 
 
 def _check_edge(
-    vertices: Mapping[str, Vertex],
-    successors: Mapping[str, set[str]],
-    edge: LabeledEdge,
+    vertices: Mapping[str, Vertex], outgoing: _OutLists, edge: LabeledEdge
 ) -> None:
     """Raise the error that keeps ``edge`` out of a graph with these vertices
-    and successor map: a missing endpoint, endpoint kinds its label does not
+    and out-lists: a missing endpoint, endpoint kinds its label does not
     admit, a self-loop, or a directed cycle the edge would close."""
     src, dst, label = edge.src, edge.dst, edge.label
     for vid in (src, dst):
@@ -446,7 +447,7 @@ def _check_edge(
             f"self-loop on '{src}' rejected: graphs must stay acyclic",
             cycle=(src,),
         )
-    walk = _walk(successors, dst, src)
+    walk = _walk(outgoing, dst, src)
     if walk is not None:
         raise CycleIntroducedError(
             f"edge {src} -> {dst} would close the cycle "
@@ -456,16 +457,14 @@ def _check_edge(
 
 
 def _scan(
-    vertices: Mapping[str, Vertex], edges: Iterable[LabeledEdge]
-) -> tuple[list[TypeViolation], dict[str, list[str]], list[str]]:
-    """One pass over ``edges`` and one Kahn drain (Kahn 1962): the typing
-    violations, sorted, and successor lists, and the vertices the drain
-    leaves, those on or downstream of a directed cycle. A dangling edge
-    raises the MissingVertexError of ``_check_edge``."""
+    vertices: Mapping[str, Vertex], outgoing: _OutLists
+) -> tuple[list[TypeViolation], list[str]]:
+    """One pass over the edges in ``outgoing`` and one Kahn drain (Kahn 1962):
+    the sorted typing violations and the vertices the drain leaves, on or
+    downstream of a cycle; a dangling edge raises ``_check_edge``'s error."""
     violations: list[TypeViolation] = []
-    successors: dict[str, list[str]] = {}
     indegree = dict.fromkeys(vertices, 0)
-    for edge in edges:
+    for edge in chain.from_iterable(outgoing.values()):
         source = vertices.get(edge.src)
         target = vertices.get(edge.dst)
         if source is None or target is None:
@@ -474,49 +473,45 @@ def _scan(
             violations.append(
                 TypeViolation(edge.src, edge.dst, edge.label, source.kind, target.kind)
             )
-        successors.setdefault(edge.src, []).append(edge.dst)
         indegree[edge.dst] += 1
     ready = [vid for vid, count in indegree.items() if not count]
     for vid in ready:
-        for nxt in successors.get(vid, ()):
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                ready.append(nxt)
+        for edge in outgoing.get(vid, ()):
+            indegree[edge.dst] -= 1
+            if not indegree[edge.dst]:
+                ready.append(edge.dst)
     violations.sort(key=lambda v: (v.src, v.dst, v.label.value))
-    return violations, successors, [vid for vid, count in indegree.items() if count]
+    return violations, [vid for vid, count in indegree.items() if count]
 
 
-def _strongly_connected(
-    vertex_ids: Iterable[str], successors: Mapping[str, Collection[str]]
-) -> list[list[str]]:
+def _strongly_connected(ids: Iterable[str], outgoing: _OutLists) -> list[list[str]]:
     """The strongly connected components (Tarjan 1972) of the subgraph on
-    ``vertex_ids``, which must hold every successor of its members."""
+    ``ids``, which must hold every successor of its members."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     components: list[list[str]] = []
     counter = 0
-    for root in sorted(vertex_ids):
+    for root in sorted(ids):
         if root in index:
             continue
-        work: list[tuple[str, Iterator[str]]] = [
-            (root, iter(successors.get(root, ())))
-        ]
+        work = [(root, iter(outgoing.get(root, ())))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
-            vid, neighbours = work[-1]
+            vid, pending = work[-1]
             pushed = False
-            for nxt in neighbours:
+            for edge in pending:
+                nxt = edge.dst
                 if nxt not in index:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(successors.get(nxt, ()))))
+                    work.append((nxt, iter(outgoing.get(nxt, ()))))
                     pushed = True
                     break
                 if nxt in on_stack:
@@ -544,31 +539,35 @@ def _checked_graph(
 ) -> ProvGraph:
     """The graph of ``vertices`` and ``edges`` if ``_check_edge`` accepts
     every edge inserted in iteration order, with both validation reports
-    already known to be empty.
+    already known to be empty and the out-lists its check read kept.
 
     Otherwise raises the error of the first edge it rejects, its message
     prefixed with ``edges[i]``, that edge's index in ``edges``. A prefix
     of the edges, once refused, stays refused, so a bisection finds that
     edge in O((V+E) log E).
     """
-    ordered = list(edges)
 
-    def refused(stop: int) -> bool:
+    def refused(outgoing: _OutLists) -> bool:
         try:
-            violations, _, undrained = _scan(vertices, ordered[:stop])
+            violations, undrained = _scan(vertices, outgoing)
         except MissingVertexError:
             return True
         return bool(violations or undrained)
 
-    if refused(len(ordered)):
-        first = bisect_left(range(1, len(ordered) + 1), True, key=refused)
+    # Built from ``edges``: a set built from a dict's keys reuses their hashes.
+    graph = ProvGraph(vertices, edges)
+    if refused(graph._outgoing):
+        ordered = list(edges)
+        first = bisect_left(
+            range(1, len(ordered) + 1),
+            True,
+            key=lambda stop: refused(_edge_lists(ordered[:stop], "src")),
+        )
         try:
-            _check_edge(vertices, _successors(ordered[:first]), ordered[first])
+            _check_edge(vertices, _edge_lists(ordered[:first], "src"), ordered[first])
         except GraphError as exc:
             exc.args = (f"edges[{first}]: {exc}",)
             raise
-    # Not ``ordered``: a set built from a dict's keys reuses their hashes.
-    graph = ProvGraph(vertices, edges)
     vars(graph)["_report"] = ((), ())
     return graph
 

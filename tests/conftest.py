@@ -52,9 +52,9 @@ def validations(monkeypatch):
         reports.append(self)
         return compute(self)
 
-    def counting_search(vertex_ids, successors):
-        searches.append(sorted(vertex_ids))
-        return search(vertex_ids, successors)
+    def counting_search(ids, outgoing):
+        searches.append(sorted(ids))
+        return search(ids, outgoing)
 
     report = cached_property(counting_report)
     report.__set_name__(ProvGraph, "_report")

@@ -407,9 +407,9 @@ def test_hostile_load_searches_for_a_cycle_at_most_once(monkeypatch, last):
     walks = []
     walk = graph_module._walk
 
-    def counting_walk(successors, origin, target):
+    def counting_walk(outgoing, origin, target):
         walks.append((origin, target))
-        return walk(successors, origin, target)
+        return walk(outgoing, origin, target)
 
     monkeypatch.setattr(graph_module, "_walk", counting_walk)
     if last == "Used":
@@ -504,17 +504,17 @@ def _load_graph_per_record(data: str) -> ProvGraph:
     edges = [
         LabeledEdge(r["src"], r["dst"], RelationLabel(r["label"])) for r in doc["edges"]
     ]
-    successors: dict[str, set[str]] = {}
+    outgoing: dict[str, list[LabeledEdge]] = {}
     for i, edge in enumerate(edges):
         try:
-            _check_edge(vertices, successors, edge)
+            _check_edge(vertices, outgoing, edge)
         except TypeViolationError as exc:
             raise TypeViolationError(f"edges[{i}]: {exc}", exc.violation) from None
         except CycleIntroducedError as exc:
             raise CycleIntroducedError(f"edges[{i}]: {exc}", exc.cycle) from None
         except GraphError as exc:
             raise type(exc)(f"edges[{i}]: {exc}") from None
-        successors.setdefault(edge.src, set()).add(edge.dst)
+        outgoing.setdefault(edge.src, []).append(edge)
     return ProvGraph(vertices, edges)
 
 
