@@ -8,12 +8,12 @@ admits only a fixed set of (source kind, destination kind) combinations --
 see ``TYPING_RULES``.
 
 Graphs are read-only values, down to each vertex's ``attrs``, and validate
-at most once; every mutating operation returns a new graph. Vertices are
-looked up by id and compare by id, kind and attrs.
-As no graph changes once built, each keeps one adjacency: every vertex's
-outgoing and incoming edge lists, built from ``edges``, each direction once,
-on first use. Queries and checks read only these lists: ``has_edge`` scans
-the source's out-list, so it costs the source's out-degree.
+at most once; a graph grows through ``ProvGraph.extend``, which checks only
+the new records. Vertices are looked up by id and compare by id, kind and
+attrs. As no graph changes, each keeps one adjacency: every vertex's out- and
+in-lists of edges, each built once on first use, or handed on by ``extend``.
+Queries and checks read only these lists: ``has_edge`` scans the source's
+out-list, so it costs the source's out-degree.
 """
 
 from __future__ import annotations
@@ -240,12 +240,10 @@ _OutLists = Mapping[str, Collection[LabeledEdge]]  # out-lists, from ``_edge_lis
 class ProvGraph:
     """A read-only typed provenance graph that validates at most once.
 
-    Direct construction skips the edge checks, not ``Vertex``'s; graphs built
-    through ``add_vertex``/``add_edge`` are always well typed and acyclic, and
+    Direct construction skips the edge checks, not ``Vertex``'s; a graph
+    ``extend`` grows from a valid one is valid, and known to be.
     ``validate_typing``/``validate_acyclic`` check any instance, once, and
-    raise MissingVertexError for an edge whose endpoint is absent. A graph
-    from ``storage.load_graph`` was checked while loading and never
-    validates again.
+    raise MissingVertexError for an edge whose endpoint is absent.
     """
 
     vertices: Mapping[str, Vertex] = field(default_factory=dict)
@@ -265,40 +263,96 @@ class ProvGraph:
 
     # -- construction -------------------------------------------------------
 
+    def extend(
+        self, vertices: Iterable[Vertex] = (), edges: Iterable[LabeledEdge] = ()
+    ) -> ProvGraph:
+        """Return a graph that also holds ``vertices``, then ``edges``.
+
+        A vertex whose id is held keeps the held record, or raises
+        DuplicateIdError if the kinds differ; an edge already held is a no-op.
+        New edges must pass ``_check_edge`` inserted in order, else the first
+        refused raises its error prefixed by its index, ``edges[i]``, found by
+        bisecting over prefixes (refusal persists).
+        The result keeps the out-lists built, sharing those no new edge
+        touches, and is known valid when this graph is or has no edges.
+
+        Only new records are checked: each new edge's endpoints and typing,
+        and one Kahn drain over the new edges, which leaves any cycle of new
+        edges. Any other new cycle (this graph being acyclic, old edges
+        joining old vertices) leaves the old vertices by a new ``u -> v``, so
+        a walk from ``v`` over the merged out-lists reaches ``u``.
+        """
+        merged = self.vertices.copy()
+        for vertex in vertices:
+            existing = merged.setdefault(vertex.id, vertex)
+            if existing.kind is not vertex.kind:
+                raise DuplicateIdError(
+                    f"vertex '{vertex.id}' already exists with kind "
+                    f"{existing.kind.value}, cannot re-add as {vertex.kind.value}"
+                )
+        old = self._outgoing if self.edges else {}
+        edges = edges if isinstance(edges, Collection) else list(edges)  # read twice if refused
+
+        def checked(records: Collection[LabeledEdge]):
+            """The new edges of ``records`` and the merged out-lists, or None."""
+            fresh = dict.fromkeys(records)  # a dict's keys keep their hashes
+            ends = merged  # the vertices the drain runs over
+            if self.edges:
+                fresh = {edge: None for edge in fresh if edge not in self.edges}
+                ends = {v: merged[v] for e in fresh for v in (e.src, e.dst) if v in merged}
+            lists = _edge_lists(fresh, "src")
+            try:
+                if any(_scan(ends, lists)):
+                    return None
+            except MissingVertexError:
+                return None
+            if old:
+                for vid, own in lists.items():
+                    own[:0] = old.get(vid, ())
+                lists = {**old, **lists}
+                if any(_walk(lists, e.dst, e.src) for e in fresh if e.src in self.vertices):
+                    return None
+            return fresh, lists
+
+        result = checked(edges)
+        if result is None:
+            ordered = list(edges)
+            stops = range(1, len(ordered) + 1)
+            first = bisect_left(stops, True, key=lambda stop: not checked(ordered[:stop]))
+            try:
+                _check_edge(merged, checked(ordered[:first])[1], ordered[first])
+            except GraphError as exc:
+                exc.args = (f"edges[{first}]: {exc}",)
+                raise
+        fresh, outgoing = result
+        if len(merged) == len(self.vertices) and not fresh:
+            return self
+        graph = object.__new__(ProvGraph)  # keyed by id already: one copy, no re-check
+        vars(graph).update(
+            vertices=MappingProxyType(merged), edges=self.edges.union(fresh), _outgoing=outgoing
+        )
+        return self._vouch(graph)
+
     def add_vertex(
         self, vertex_id: str, kind: VertexKind, attrs: Mapping[str, str] | None = None
     ) -> ProvGraph:
-        """Return a graph that also contains ``vertex_id`` of ``kind``.
-
-        Re-adding an (id, kind) pair is a no-op. DuplicateIdError: the id is
-        taken by another kind; ValueError: the record breaks ``Vertex``'s rule.
-        """
-        existing = self.vertices.get(vertex_id)
-        if existing is not None:
-            if existing.kind is kind:
-                return self
-            raise DuplicateIdError(
-                f"vertex '{vertex_id}' already exists with kind "
-                f"{existing.kind.value}, cannot re-add as {kind.value}"
-            )
-        vertex = Vertex(vertex_id, kind, attrs or {})
-        return ProvGraph({**self.vertices, vertex_id: vertex}, self.edges)
+        """``extend`` by the one vertex ``vertex_id`` of ``kind``: re-adding an
+        (id, kind) pair is a no-op. DuplicateIdError: the id is taken by
+        another kind; ValueError: the record breaks ``Vertex``'s rule."""
+        return self.extend([Vertex(vertex_id, kind, attrs or {})])
 
     def add_edge(self, src: str, dst: str, label: RelationLabel) -> ProvGraph:
-        """Return a graph that also contains the edge ``src -> dst`` (label).
+        """``extend`` by the one edge ``src -> dst`` (label), its errors read
+        ``edges[0]: ...``: both endpoints must exist, the label must admit their
+        kinds, and no directed cycle may close. Re-adding an edge is a no-op."""
+        return self.extend((), [LabeledEdge(src, dst, label)])
 
-        Both endpoints must exist, the endpoint kinds must be admitted by
-        the label, and the edge must not close a directed cycle. Adding an
-        edge that is already present is a no-op. Each call reads this graph's
-        out-lists and copies its edges into a graph that builds its own, so
-        chaining calls costs time quadratic in the edge count;
-        ``storage.load_graph`` checks a whole list of records in one pass.
-        """
-        edge = LabeledEdge(src, dst, label)
-        if edge in self.edges and src in self.vertices and dst in self.vertices:
-            return self
-        _check_edge(self.vertices, self._outgoing, edge)
-        return ProvGraph(self.vertices, self.edges | {edge})
+    def _vouch(self, graph: ProvGraph) -> ProvGraph:
+        """``graph``, a subgraph or checked ``extend`` of this graph, known
+        valid when this graph is known valid or has no edges."""
+        if not self.edges or vars(self).get("_report") == ((), ()):
+            vars(graph)["_report"] = ((), ())
+        return graph
 
     def renamed(self, mapping: Mapping[str, str]) -> ProvGraph:
         """Return a copy with vertex ids rewritten through ``mapping``.
@@ -532,44 +586,6 @@ def _strongly_connected(ids: Iterable[str], outgoing: _OutLists) -> list[list[st
                         break
                 components.append(component)
     return components
-
-
-def _checked_graph(
-    vertices: Mapping[str, Vertex], edges: Collection[LabeledEdge]
-) -> ProvGraph:
-    """The graph of ``vertices`` and ``edges`` if ``_check_edge`` accepts
-    every edge inserted in iteration order, with both validation reports
-    already known to be empty and the out-lists its check read kept.
-
-    Otherwise raises the error of the first edge it rejects, its message
-    prefixed with ``edges[i]``, that edge's index in ``edges``. A prefix
-    of the edges, once refused, stays refused, so a bisection finds that
-    edge in O((V+E) log E).
-    """
-
-    def refused(outgoing: _OutLists) -> bool:
-        try:
-            violations, undrained = _scan(vertices, outgoing)
-        except MissingVertexError:
-            return True
-        return bool(violations or undrained)
-
-    # Built from ``edges``: a set built from a dict's keys reuses their hashes.
-    graph = ProvGraph(vertices, edges)
-    if refused(graph._outgoing):
-        ordered = list(edges)
-        first = bisect_left(
-            range(1, len(ordered) + 1),
-            True,
-            key=lambda stop: refused(_edge_lists(ordered[:stop], "src")),
-        )
-        try:
-            _check_edge(vertices, _edge_lists(ordered[:first], "src"), ordered[first])
-        except GraphError as exc:
-            exc.args = (f"edges[{first}]: {exc}",)
-            raise
-    vars(graph)["_report"] = ((), ())
-    return graph
 
 
 def union(*graphs: ProvGraph) -> ProvGraph:

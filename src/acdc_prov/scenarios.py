@@ -14,8 +14,8 @@ The policies and their environments are the ``<name>.pol`` and
 ``<name>.env.json`` files shipped in the package's ``corpus`` directory;
 ``corpus()`` reads them there. The graph documents shipped beside them
 are rendered from the builders below by ``scripts/build_corpus_data.py``.
-Each builder lists its vertex and edge records and checks them once, as
-``storage.load_graph`` does a document's, so its graph arrives validated.
+Each builder checks its vertex and edge records once with ``ProvGraph.extend``,
+as ``storage.load_graph`` does a document's, so its graph arrives validated.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Mapping, Sequence
 
 from .evaluator import evaluate
 from .events import slice_by_agent
-from .graph import LabeledEdge, ProvGraph, RelationLabel, Vertex, VertexKind
-from .graph import _checked_graph, union
+from .graph import LabeledEdge, ProvGraph, RelationLabel, Vertex, VertexKind, union
 from .policy import BoundPolicy, Environment, bind, parse_policy
 from .storage import load_environment
 
@@ -91,7 +90,7 @@ def build_encapsulate_event(owner: str) -> ProvGraph:
     edges.append(LabeledEdge("Key_SGX", "sgx", _R.WAS_ATTRIBUTED_TO))
     for owned in ("Plaintext", owner_key, "SecureCapsule"):
         edges.append(LabeledEdge(owned, owner, _R.WAS_ATTRIBUTED_TO))
-    return _checked_graph({v.id: v for v in vertices}, edges)
+    return ProvGraph().extend(vertices, edges)
 
 
 def build_encapsulate_with_foreign_inputs(owner: str, outsider: str) -> ProvGraph:
@@ -102,19 +101,12 @@ def build_encapsulate_with_foreign_inputs(owner: str, outsider: str) -> ProvGrap
     still derived only from the owner's material, so the derivation
     policies keep holding while the usage-exclusivity ones break.
     """
-    foreign_key = f"Key_{outsider}"
-    foreign_data = f"Plaintext_{outsider}"
-    base = build_encapsulate_event(owner)
-    vertices = dict(base.vertices)
-    vertices[outsider] = Vertex(outsider, _K.ACCOUNT_AGENT)
-    vertices[foreign_key] = Vertex(foreign_key, _K.KEY_ENTITY)
-    vertices[foreign_data] = Vertex(foreign_data, _K.DATA_ENTITY)
-    edges = list(base.edges)
-    edges.append(LabeledEdge("Encapsulate", foreign_key, _R.USED))
-    edges.append(LabeledEdge("Encapsulate", foreign_data, _R.USED))
-    edges.append(LabeledEdge(foreign_key, outsider, _R.WAS_ATTRIBUTED_TO))
-    edges.append(LabeledEdge(foreign_data, outsider, _R.WAS_ATTRIBUTED_TO))
-    return _checked_graph(vertices, edges)
+    key, data = f"Key_{outsider}", f"Plaintext_{outsider}"
+    vertices = [Vertex(outsider, _K.ACCOUNT_AGENT), Vertex(key, _K.KEY_ENTITY)]
+    vertices.append(Vertex(data, _K.DATA_ENTITY))
+    edges = [LabeledEdge("Encapsulate", vid, _R.USED) for vid in (key, data)]
+    edges += [LabeledEdge(vid, outsider, _R.WAS_ATTRIBUTED_TO) for vid in (key, data)]
+    return build_encapsulate_event(owner).extend(vertices, edges)
 
 
 class VotingStep(Enum):
@@ -187,7 +179,7 @@ def build_voting_trace(
             edges.append(LabeledEdge(output_id, activity, _R.WAS_GENERATED_BY))
             edges.append(LabeledEdge(output_id, contract, _R.WAS_DERIVED_FROM))
             edges.append(LabeledEdge(output_id, owner, _R.WAS_ATTRIBUTED_TO))
-    return _checked_graph({v.id: v for v in vertices}, edges)
+    return ProvGraph().extend(vertices, edges)
 
 
 def build_two_state_trace(

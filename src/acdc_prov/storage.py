@@ -21,14 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .graph import (
-    LabeledEdge,
-    ProvGraph,
-    RelationLabel,
-    Vertex,
-    VertexKind,
-    _checked_graph,
-)
+from .graph import LabeledEdge, ProvGraph, RelationLabel, Vertex, VertexKind
 from .evaluator import Verdict
 from .policy import Environment
 
@@ -148,13 +141,11 @@ def _parse_graph_document(
 
 
 def load_graph(data: bytes | str) -> ProvGraph:
-    """Parse a graph document and check each edge record, in document
-    order, as ``ProvGraph.add_edge`` would insert it; the result is always
-    well typed and acyclic, and already known to be.
-
-    Construction errors are re-raised with the offending record index.
-    """
-    return _checked_graph(*_parse_graph_document(data))
+    """Parse a graph document into ``ProvGraph().extend(vertices, edges)``:
+    always well typed and acyclic, and known to be. A refused edge record's
+    error names its index in document order, ``edges[i]``."""
+    vertices, edges = _parse_graph_document(data)
+    return ProvGraph().extend(vertices.values(), edges)
 
 
 def load_graph_unchecked(data: bytes | str) -> ProvGraph:

@@ -68,18 +68,16 @@ def random_graph_with_order(
     """A random well-typed DAG plus the vertex order it was built along."""
     count = rng.randint(min_vertices, max_vertices)
     order = rng.sample(_ID_POOL, count)
-    graph = ProvGraph()
-    kinds: dict[str, VertexKind] = {}
-    for vid in order:
-        kinds[vid] = rng.choice(KINDS)
-        graph = graph.add_vertex(vid, kinds[vid])
+    kinds = {vid: rng.choice(KINDS) for vid in order}
+    edges = []
     for i in range(count):
         for j in range(i + 1, count):
             src, dst = order[i], order[j]
             allowed = ALLOWED_BY_PAIR.get((kinds[src], kinds[dst]))
             if allowed and rng.random() < edge_chance:
-                graph = graph.add_edge(src, dst, rng.choice(allowed))
-    return graph, order
+                edges.append(LabeledEdge(src, dst, rng.choice(allowed)))
+    vertices = [Vertex(vid, kind) for vid, kind in kinds.items()]
+    return ProvGraph().extend(vertices, edges), order
 
 
 def random_graph(
@@ -92,9 +90,7 @@ def random_large_graph(
     rng: random.Random, vertices: int = 200, max_out_degree: int = 6
 ) -> ProvGraph:
     """A random well-typed DAG of ``vertices`` vertices (at most 400) with
-    up to ``max_out_degree`` forward edges per vertex, constructed in one
-    step: inserting thousands of edges one ``add_edge`` at a time would
-    take quadratic time."""
+    up to ``max_out_degree`` forward edges per vertex."""
     order = rng.sample(_LARGE_ID_POOL, vertices)
     kinds = {vid: rng.choice(KINDS) for vid in order}
     edges = set()
@@ -104,7 +100,7 @@ def random_large_graph(
             allowed = ALLOWED_BY_PAIR.get((kinds[src], kinds[dst]))
             if allowed:
                 edges.add(LabeledEdge(src, dst, rng.choice(allowed)))
-    return ProvGraph({vid: Vertex(vid, kind) for vid, kind in kinds.items()}, edges)
+    return ProvGraph().extend([Vertex(vid, kind) for vid, kind in kinds.items()], edges)
 
 
 def extend_graph(
@@ -119,25 +115,22 @@ def extend_graph(
     pool = [vid for vid in (*_ID_POOL, *_EXTRA_ID_POOL) if vid not in graph.vertices]
     new_ids = rng.sample(pool, rng.randint(1, max_extra))
     kinds = {vid: graph.vertices[vid].kind for vid in order}
-    extended = graph
-    full_order = list(order)
-    for vid in new_ids:
-        kinds[vid] = rng.choice(KINDS)
-        extended = extended.add_vertex(vid, kinds[vid])
-        full_order.append(vid)
+    kinds.update((vid, rng.choice(KINDS)) for vid in new_ids)
+    full_order = order + new_ids
+    edges = []
     for i in range(len(full_order)):
         for j in range(max(i + 1, len(order)), len(full_order)):
             src, dst = full_order[i], full_order[j]
             allowed = ALLOWED_BY_PAIR.get((kinds[src], kinds[dst]))
             if allowed and rng.random() < edge_chance:
-                extended = extended.add_edge(src, dst, rng.choice(allowed))
+                edges.append(LabeledEdge(src, dst, rng.choice(allowed)))
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             src, dst = order[i], order[j]
             allowed = ALLOWED_BY_PAIR.get((kinds[src], kinds[dst]))
             if allowed and rng.random() < 0.1:
-                extended = extended.add_edge(src, dst, rng.choice(allowed))
-    return extended
+                edges.append(LabeledEdge(src, dst, rng.choice(allowed)))
+    return graph.extend([Vertex(vid, kinds[vid]) for vid in new_ids], edges)
 
 
 def random_environment(rng: random.Random, graph: ProvGraph) -> Environment:

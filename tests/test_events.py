@@ -30,6 +30,7 @@ from acdc_prov.scenarios import (
     build_voting_trace,
     corpus_graphs,
 )
+from acdc_prov.storage import load_graph, save_graph
 from randgen import random_graph, random_graph_with_order
 
 
@@ -188,6 +189,40 @@ def test_event_of_ill_typed_graph_keeps_edges_between_its_vertices(entries):
     assert event.edges == edges
     with pytest.raises(InvalidGraphError):
         evaluate(entries["p1"].bound(), event)
+
+
+def test_slice_of_ill_typed_graph_is_refused_by_evaluation(entries):
+    # The slice keeps the ill-typed edge, known or not to be there, and is
+    # validated again rather than taken as valid.
+    R = RelationLabel
+    vertices = {
+        "Run": Vertex("Run", VertexKind.ACTIVITY),
+        "In": Vertex("In", VertexKind.DATA_ENTITY),
+        "Bob": Vertex("Bob", VertexKind.ACCOUNT_AGENT),
+    }
+    edges = {
+        LabeledEdge("Run", "In", R.USED),
+        LabeledEdge("In", "Bob", R.WAS_ATTRIBUTED_TO),
+        LabeledEdge("In", "Run", R.USED),
+    }
+    graph = ProvGraph(vertices, edges)
+    for _ in range(2):
+        sliced = slice_by_agent(graph, "Bob")
+        assert sliced.edges == edges
+        with pytest.raises(InvalidGraphError):
+            evaluate(entries["p1"].bound(), sliced)
+        assert graph.validate_typing()
+
+
+def test_slices_and_events_of_a_checked_graph_validate_nothing(
+    entries, alice_trace, validations
+):
+    graph = load_graph(save_graph(alice_trace))
+    sliced = slice_by_agent(graph, "Alice")
+    assert evaluate(entries["receipt_attributed"].bound(), sliced).satisfied
+    event = extract_event(graph, "KeyGen").subgraph
+    assert evaluate(entries["keygen_done"].bound(), event).satisfied
+    assert validations == ([], [])
 
 
 # ---------------------------------------------------------------------------

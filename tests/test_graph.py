@@ -452,12 +452,17 @@ def test_read_only_graphs_still_copy_and_pickle(alice_trace):
 
 def _scan_edges(graph: ProvGraph, end: str, vid: str, label: R | None) -> list:
     """The oracle for ``out_edges`` (``end="src"``) and ``in_edges``
-    (``end="dst"``): a filtered iteration over every edge."""
-    return [
+    (``end="dst"``): a filtered iteration over every edge, sorted, as a
+    vertex's lists keep its edges in the order they were added."""
+    return _sorted_edges(
         e
         for e in graph.edges
         if getattr(e, end) == vid and (label is None or e.label is label)
-    ]
+    )
+
+
+def _sorted_edges(edges) -> list:
+    return sorted(edges, key=lambda e: (e.src, e.dst, e.label.value))
 
 
 def _assert_index_matches_scans(
@@ -489,8 +494,8 @@ def _assert_index_matches_scans(
         for label in (None, *R):
             outgoing = _scan_edges(graph, "src", vid, label)
             incoming = _scan_edges(graph, "dst", vid, label)
-            assert list(graph.out_edges(vid, label)) == outgoing
-            assert list(graph.in_edges(vid, label)) == incoming
+            assert _sorted_edges(graph.out_edges(vid, label)) == outgoing
+            assert _sorted_edges(graph.in_edges(vid, label)) == incoming
 
 
 def test_index_matches_the_scans_on_the_corpus():
@@ -559,9 +564,13 @@ def test_derived_graphs_answer_from_their_own_edges(alice_trace):
     }
     for name, twin in derived.items():
         _assert_index_matches_scans(twin)
-        # Each builds its own lists; ``union`` already has, to validate.
+        # None holds the parent's lists; ``extend`` hands on a copy of the
+        # out-lists, sharing only the lists its new edges leave untouched.
         held = list(vars(twin).values())
         assert not any(mine is theirs for mine in held for theirs in lists), name
+    handed_on = vars(derived["add_edge"])["_outgoing"]
+    assert handed_on["Note"] is not lists[0].get("Note")
+    assert all(handed_on[vid] is own for vid, own in lists[0].items())
     assert derived["add_edge"].has_edge(*new_edge)
     assert list(derived["add_edge"].out_edges("Note")) == [LabeledEdge(*new_edge)]
     assert not graph.has_edge(*new_edge)
@@ -589,19 +598,16 @@ def test_the_index_is_built_at_most_once_per_graph(monkeypatch, alice_trace):
         for activity in graph.vertices_of_sort(Sort.ACTIVITY):
             extract_event(graph, activity)
 
+    # ``extend`` hands on the out-lists its check built from the parent's,
+    # and a checked load is an ``extend`` of the empty graph.
     graph = alice_trace.add_vertex("Note", K.DATA_ENTITY)
-    assert built == []
-    query(graph)
-    assert graph.validate_typing() == graph.validate_acyclic() == []
-    query(graph)
-    assert built == [(id(graph), "_outgoing"), (id(graph), "_incoming")]
-    del built[:]
-    # The checked load builds the out-lists its check reads and keeps them.
     loaded = load_graph(save_graph(graph))
-    assert built == [(id(loaded), "_outgoing")]
-    query(loaded)
-    assert loaded.validate_typing() == loaded.validate_acyclic() == []
-    assert built == [(id(loaded), "_outgoing"), (id(loaded), "_incoming")]
+    assert built == [] and all("_outgoing" in vars(g) for g in (graph, loaded))
+    for extended in (graph, loaded):
+        query(extended)
+        assert extended.validate_typing() == extended.validate_acyclic() == []
+        query(extended)
+    assert built == [(id(graph), "_incoming"), (id(loaded), "_incoming")]
     del built[:]
     # A graph built directly validates from the out-lists its queries read.
     direct = ProvGraph(graph.vertices, graph.edges)
@@ -624,8 +630,8 @@ def test_an_indexed_graph_builds_no_edges_to_answer(monkeypatch, alice_trace):
 
     monkeypatch.setattr("acdc_prov.graph.LabeledEdge", NoEdges)
     assert [alice_trace.has_edge(*p) for p in probes] == expected
-    assert {v: list(alice_trace.out_edges(v)) for v in ids} == outgoing
-    assert {v: list(alice_trace.in_edges(v, R.USED)) for v in ids} == incoming
+    assert {v: _sorted_edges(alice_trace.out_edges(v)) for v in ids} == outgoing
+    assert {v: _sorted_edges(alice_trace.in_edges(v, R.USED)) for v in ids} == incoming
 
 
 def test_the_adjacency_costs_little_beyond_the_loaded_graph(monkeypatch):

@@ -343,6 +343,15 @@ def test_scenarios_without_slices_validate_nothing(name, validations):
     assert validations == ([], [])
 
 
+def test_duplicate_vote_validates_only_the_union_it_builds(validations):
+    # Slices of a validated graph are known valid; only ``union`` checks the
+    # two-state trace, once, where each slice used to be validated too.
+    assert all(check.ok for check in run_scenario("duplicate-vote"))
+    reports, searches = validations
+    assert len(reports) == 1 and len(reports[0].vertices) == 24
+    assert searches == []
+
+
 # ---------------------------------------------------------------------------
 # packaged walkthroughs
 # ---------------------------------------------------------------------------
