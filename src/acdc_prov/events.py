@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import LabeledEdge, ProvGraph, RelationLabel, Sort, Vertex, VertexKind
+from .graph import LabeledEdge, ProvGraph, RelationLabel, Sort, Vertex, VertexKind, _graph
 
 __all__ = [
     "Event",
@@ -90,7 +90,7 @@ def extract_event(graph: ProvGraph, activity: str) -> Event:
 
     edges = {e for e in graph.edges if e.src in included and e.dst in included}
     vertices = {vid: graph.vertices[vid] for vid in sorted(included)}
-    return Event(graph._vouch(ProvGraph(vertices, edges)), activity)
+    return Event(graph._vouch(_graph(vertices, edges)), activity)
 
 
 def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
@@ -106,4 +106,4 @@ def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
         if agent in event.subgraph.vertices:
             vertices.update(event.subgraph.vertices)
             edges |= event.subgraph.edges
-    return graph._vouch(ProvGraph(vertices, edges))
+    return graph._vouch(_graph(vertices, edges))

@@ -8,12 +8,12 @@ admits only a fixed set of (source kind, destination kind) combinations --
 see ``TYPING_RULES``.
 
 Graphs are read-only values, down to each vertex's ``attrs``, and validate
-at most once; a graph grows through ``ProvGraph.extend``, which checks only
-the new records. Vertices are looked up by id and compare by id, kind and
-attrs. As no graph changes, each keeps one adjacency: every vertex's out- and
-in-lists of edges, each built once on first use, or handed on by ``extend``.
-Queries and checks read only these lists: ``has_edge`` scans the source's
-out-list, so it costs the source's out-degree.
+at most once; a graph grows, and a union is built, through ``extend``, which
+checks only the new records. Vertices are looked up by id and compare by id,
+kind and attrs. As no graph changes, each keeps one adjacency: every vertex's
+out- and in-lists of edges, each built once on first use, or handed on by
+``extend``. Queries and checks read only these lists: ``has_edge`` scans the
+source's out-list, so it costs the source's out-degree.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class TypeViolation:
 Cycle = tuple[str, ...]
 """A directed cycle, reported as the vertex-id sequence it passes through."""
 
-_OutLists = Mapping[str, Collection[LabeledEdge]]  # out-lists, from ``_edge_lists``
+_OutLists = Mapping[str, Collection[LabeledEdge]]  # per-vertex lists, from ``_edge_lists``
 
 
 @dataclass(frozen=True)
@@ -273,8 +273,8 @@ class ProvGraph:
         New edges must pass ``_check_edge`` inserted in order, else the first
         refused raises its error prefixed by its index, ``edges[i]``, found by
         bisecting over prefixes (refusal persists).
-        The result keeps the out-lists built, sharing those no new edge
-        touches, and is known valid when this graph is or has no edges.
+        The result keeps both directions' lists built, sharing those no new
+        edge touches, and is known valid when this graph is or has no edges.
 
         Only new records are checked: each new edge's endpoints and typing,
         and one Kahn drain over the new edges, which leaves any cycle of new
@@ -307,9 +307,7 @@ class ProvGraph:
             except MissingVertexError:
                 return None
             if old:
-                for vid, own in lists.items():
-                    own[:0] = old.get(vid, ())
-                lists = {**old, **lists}
+                lists = _merged(old, lists)
                 if any(_walk(lists, e.dst, e.src) for e in fresh if e.src in self.vertices):
                     return None
             return fresh, lists
@@ -327,11 +325,10 @@ class ProvGraph:
         fresh, outgoing = result
         if len(merged) == len(self.vertices) and not fresh:
             return self
-        graph = object.__new__(ProvGraph)  # keyed by id already: one copy, no re-check
-        vars(graph).update(
-            vertices=MappingProxyType(merged), edges=self.edges.union(fresh), _outgoing=outgoing
-        )
-        return self._vouch(graph)
+        caches = {"_outgoing": outgoing}
+        if "_incoming" in vars(self):
+            caches["_incoming"] = _merged(self._incoming, _edge_lists(fresh, "dst"))
+        return self._vouch(_graph(merged, self.edges.union(fresh), **caches))
 
     def add_vertex(
         self, vertex_id: str, kind: VertexKind, attrs: Mapping[str, str] | None = None
@@ -348,8 +345,8 @@ class ProvGraph:
         return self.extend((), [LabeledEdge(src, dst, label)])
 
     def _vouch(self, graph: ProvGraph) -> ProvGraph:
-        """``graph``, a subgraph or checked ``extend`` of this graph, known
-        valid when this graph is known valid or has no edges."""
+        """``graph``, a subgraph, checked ``extend`` or one-to-one renaming of
+        this graph, known valid when this graph is known valid or has no edges."""
         if not self.edges or vars(self).get("_report") == ((), ()):
             vars(graph)["_report"] = ((), ())
         return graph
@@ -358,7 +355,7 @@ class ProvGraph:
         """Return a copy with vertex ids rewritten through ``mapping``.
 
         Ids absent from the mapping are kept. The rewrite must not merge
-        two vertices into one id.
+        two vertices into one id, so the copy is known valid when this graph is.
         """
         def rewrite(vid: str) -> str:
             return mapping.get(vid, vid)
@@ -369,10 +366,8 @@ class ProvGraph:
             if new_id in vertices:
                 raise DuplicateIdError(f"renaming maps two vertices onto '{new_id}'")
             vertices[new_id] = Vertex(new_id, vertex.kind, vertex.attrs)
-        edges = frozenset(
-            LabeledEdge(rewrite(e.src), rewrite(e.dst), e.label) for e in self.edges
-        )
-        return ProvGraph(vertices, edges)
+        edges = (LabeledEdge(rewrite(e.src), rewrite(e.dst), e.label) for e in self.edges)
+        return self._vouch(_graph(vertices, edges))
 
     # -- queries -------------------------------------------------------------
 
@@ -452,6 +447,18 @@ def _edge_lists(edges: Iterable[LabeledEdge], end: str) -> dict[str, list[Labele
     for edge in edges:
         lists.setdefault(getattr(edge, end), []).append(edge)
     return lists
+
+
+def _merged(old: _OutLists, new: _OutLists) -> dict[str, list[LabeledEdge]]:
+    """``old``'s lists with ``new``'s appended, sharing those ``new`` lacks."""
+    return {**old, **{vid: [*old.get(vid, ()), *own] for vid, own in new.items()}}
+
+
+def _graph(vertices: dict[str, Vertex], edges: Iterable[LabeledEdge], **caches) -> ProvGraph:
+    """A graph of ``vertices``, keyed by id, with ``caches`` set: no copy, no check."""
+    graph = object.__new__(ProvGraph)
+    vars(graph).update(caches, vertices=MappingProxyType(vertices), edges=frozenset(edges))
+    return graph
 
 
 def _walk(outgoing: _OutLists, origin: str, target: str) -> tuple[str, ...] | None:
@@ -593,10 +600,10 @@ def union(*graphs: ProvGraph) -> ProvGraph:
 
     The same id must carry the same kind everywhere (DuplicateIdError
     otherwise); attrs are merged with later graphs winning on conflicts.
-    The merged graph must remain acyclic.
+    It ``extend``s the first graph (the empty one, if that is not known valid)
+    by the rest, edges sorted by (src, dst, label) as ``edges[i]`` counts.
     """
     vertices: dict[str, Vertex] = {}
-    edges: set[LabeledEdge] = set()
     for graph in graphs:
         for vid, vertex in graph.vertices.items():
             existing = vertices.get(vid)
@@ -611,11 +618,10 @@ def union(*graphs: ProvGraph) -> ProvGraph:
                 vertices[vid] = Vertex(
                     vid, existing.kind, {**existing.attrs, **vertex.attrs}
                 )
-        edges |= graph.edges
-    merged = ProvGraph(vertices, edges)
-    cycles = merged.validate_acyclic()
-    if cycles:
-        raise CycleIntroducedError(
-            f"union closes the cycle {' -> '.join(cycles[0])}", cycle=cycles[0]
-        )
-    return merged
+    known = graphs and vars(graphs[0]).get("_report") == ((), ())  # validated clean
+    first, *later = graphs if known else (ProvGraph(), *graphs)
+    base = _graph(**{**vars(first), "vertices": {v: vertices[v] for v in first.vertices}})
+    edges = sorted(
+        set().union(*(g.edges for g in later)), key=lambda e: (e.src, e.dst, e.label.value)
+    )
+    return base.extend(vertices.values(), edges)

@@ -130,6 +130,8 @@ def _parse_graph_document(
         label = labels.get(label_name)
         if label is None:
             raise UnknownLabelError(f"edges[{i}]: unknown label {label_name!r}")
+        src = vertices[src].id if src in vertices else src  # one string per id
+        dst = vertices[dst].id if dst in vertices else dst
         count = len(edges)
         edges[LabeledEdge(src, dst, label)] = None
         if len(edges) == count:

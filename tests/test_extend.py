@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain
@@ -27,6 +30,7 @@ from acdc_prov.graph import (
     VertexKind,
     _check_edge,
     _edge_lists,
+    union,
 )
 from acdc_prov.storage import load_graph, save_graph
 from randgen import ALLOWED_BY_PAIR, KINDS, random_graph_with_order
@@ -270,6 +274,206 @@ def test_an_unvalidated_parent_hands_on_no_report():
 
 
 # ---------------------------------------------------------------------------
+# in-lists handed on: the same edges as a graph built in one go
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_lists(graph: ProvGraph, whole: ProvGraph) -> None:
+    """Each vertex's in- and out-lists hold the edges of ``whole``'s."""
+    assert graph.vertices.keys() == whole.vertices.keys()
+    for vid in whole.vertices:
+        assert Counter(graph.in_edges(vid)) == Counter(whole.in_edges(vid)), vid
+        assert Counter(graph.out_edges(vid)) == Counter(whole.out_edges(vid)), vid
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+def test_in_lists_agree_with_a_graph_built_in_one_go_at_every_split(built):
+    # One valid record list per seed, split into a base and an append at
+    # every vertex and every edge; the base has built its in-lists or not.
+    for seed in range(8):
+        whole, order = random_graph_with_order(random.Random(seed), 12, 8, edge_chance=0.5)
+        vertices = [whole.vertices[vid] for vid in order]
+        edges = _sorted_edges(whole.edges)
+        for v in range(len(vertices) + 1):
+            ids = set(order[:v])
+            for e in range(len(edges) + 1):
+                inside = [x for x in edges[:e] if x.src in ids and x.dst in ids]
+                base = ProvGraph().extend(vertices[:v], inside)
+                parent = base._incoming if built else None
+                child = base.extend(vertices[v:], edges)
+                assert ("_incoming" in vars(child)) is built
+                _assert_same_lists(child, whole)
+                if built and child is not base:
+                    ends = {x.dst for x in child.edges - base.edges}
+                    handed_on = vars(child)["_incoming"]
+                    assert {vid for vid in parent if handed_on[vid] is not parent[vid]} <= ends
+
+
+@pytest.mark.parametrize("voters, owners", [(20, 4), (200, 20)], ids=["300V", "2.8kV"])
+def test_in_lists_survive_a_history_grown_one_session_at_a_time(monkeypatch, voters, owners):
+    # Every other parent has built its in-lists, so the chain mixes lists
+    # handed on, lists rebuilt from the edges and no lists at all. At 300 V
+    # each step is compared with a graph built from its records; at 2.8k V,
+    # to keep the test short, only the end.
+    population = _population(monkeypatch)
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
+    graph = ProvGraph()
+    for i, part in enumerate(_parts(population, history)):
+        if i % 2:
+            graph._incoming
+        graph = graph.extend(*_records(part))
+        if voters <= 20:
+            _assert_same_lists(graph, ProvGraph(graph.vertices, graph.edges))
+    _assert_same_lists(graph, load_graph(history.document()))
+
+
+# ---------------------------------------------------------------------------
+# ``union`` through ``extend``, against the whole-graph union it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_union(*graphs: ProvGraph) -> ProvGraph:
+    """``union`` as it was: merge, then validate the merged graph's
+    acyclicity from scratch."""
+    vertices: dict[str, Vertex] = {}
+    edges: set[LabeledEdge] = set()
+    for graph in graphs:
+        for vid, vertex in graph.vertices.items():
+            existing = vertices.get(vid)
+            if existing is None:
+                vertices[vid] = vertex
+            elif existing.kind is not vertex.kind:
+                raise DuplicateIdError(
+                    f"union maps '{vid}' to both {existing.kind.value} and "
+                    f"{vertex.kind.value}"
+                )
+            elif vertex.attrs and vertex.attrs != existing.attrs:
+                vertices[vid] = Vertex(
+                    vid, existing.kind, {**existing.attrs, **vertex.attrs}
+                )
+        edges |= graph.edges
+    merged = ProvGraph(vertices, edges)
+    cycles = merged.validate_acyclic()
+    if cycles:
+        raise CycleIntroducedError(
+            f"union closes the cycle {' -> '.join(cycles[0])}", cycle=cycles[0]
+        )
+    return merged
+
+
+_UNION_IDS = tuple(f"u{i}" for i in range(8))
+_ATTRS = ({}, {}, {"a": "1"}, {"a": "2"}, {"b": "1"})
+
+
+def _union_inputs(seed: int) -> list[ProvGraph]:
+    """Two or three well-typed graphs over one small id pool, so they share
+    ids; each orders its ids on its own, so their edges may close cycles
+    across graphs. Some ids change kind (a conflict), some vertices carry
+    attrs, and some graphs are built directly, so not known valid."""
+    rng = random.Random(seed)
+    kinds = {vid: rng.choice(KINDS) for vid in _UNION_IDS}
+    graphs = []
+    for _ in range(rng.choice((2, 3))):
+        order = rng.sample(_UNION_IDS, rng.randint(1, 6))
+        own = {vid: rng.choice(KINDS) if rng.random() < 0.04 else kinds[vid] for vid in order}
+        edges = []
+        for i, src in enumerate(order):
+            for dst in order[i + 1:]:
+                allowed = ALLOWED_BY_PAIR.get((own[src], own[dst]))
+                if allowed and rng.random() < 0.4:
+                    edges.append(LabeledEdge(src, dst, rng.choice(allowed)))
+        vertices = [Vertex(vid, kind, rng.choice(_ATTRS)) for vid, kind in own.items()]
+        graph = ProvGraph().extend(vertices, edges)
+        if rng.random() < 0.2:
+            graph = ProvGraph(graph.vertices, graph.edges)
+        graphs.append(graph)
+    return graphs
+
+
+def test_union_agrees_with_the_whole_graph_union():
+    outcomes = Counter()
+    for seed in range(3000):
+        graphs = _union_inputs(seed)
+        expected, oracle_error = _outcome(lambda: _oracle_union(*graphs))
+        merged, error = _outcome(lambda: union(*graphs))
+        assert type(error) is type(oracle_error), (seed, error, oracle_error)
+        if error is not None:
+            outcomes[type(error).__name__] += 1
+            if isinstance(error, CycleIntroducedError):
+                edges = set().union(*(graph.edges for graph in graphs))
+                cycle = error.cycle
+                steps = zip(cycle, (*cycle[1:], cycle[0]))
+                assert all(any(LabeledEdge(s, d, l) in edges for l in R) for s, d in steps)
+                index, _ = _split_prefix(str(error))
+                assert index >= 0
+            continue
+        merged_attrs = any(len(v.attrs) > 1 for v in merged.vertices.values())
+        outcomes["attrs merged" if merged_attrs else "accepted"] += 1
+        assert list(merged.vertices.items()) == list(expected.vertices.items())
+        assert merged.edges == expected.edges
+        assert vars(merged)["_report"] == ((), ())
+        fresh = ProvGraph(merged.vertices, merged.edges)
+        assert fresh.validate_typing() == fresh.validate_acyclic() == []
+        _assert_same_lists(merged, fresh)
+    for outcome in ("accepted", "attrs merged", "DuplicateIdError", "CycleIntroducedError"):
+        assert outcomes[outcome] >= 100, outcomes
+
+
+def test_a_union_of_known_valid_graphs_computes_no_report(validations):
+    first, _ = random_graph_with_order(random.Random(3), 12, 12)
+    renamed = first.renamed({vid: f"{vid}'" for vid in first.vertices})
+    assert vars(renamed)["_report"] == ((), ())
+    merged = union(first, renamed)
+    assert merged.edges == first.edges | renamed.edges
+    assert vars(merged)["_report"] == ((), ())
+    assert validations == ([], [])
+
+
+_TWO_CYCLES = """
+from acdc_prov.graph import (
+    CycleIntroducedError, LabeledEdge, ProvGraph, RelationLabel, Vertex, VertexKind, union,
+)
+ids = [f"d{i}" for i in range(12)]
+vertices = [Vertex(vid, VertexKind.DATA_ENTITY) for vid in ids]
+pairs = [*zip(ids, ids[1:]), ("d1", "d3"), ("d2", "d4"), ("d6", "d8"), ("d7", "d9")]
+derived = RelationLabel.WAS_DERIVED_FROM
+first = ProvGraph().extend(vertices, [LabeledEdge(*p, derived) for p in pairs])
+back = [LabeledEdge(*p, derived) for p in (("d9", "d1"), ("d11", "d6"))]
+later = ProvGraph().extend(vertices, back)
+for graphs in ((first, later), (ProvGraph(first.vertices, first.edges), later)):
+    try:
+        union(*graphs)
+    except CycleIntroducedError as exc:
+        print(repr((str(exc), exc.cycle)))
+"""
+
+
+def test_a_union_closing_two_cycles_reports_the_same_one_under_any_hash_seed():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _TWO_CYCLES],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    # Edges are checked in (src, dst, label) order and walks break ties by
+    # id: the later graph's d11 -> d6 comes first; from the empty graph,
+    # every edge counts, and d9 -> d1, the 16th, closes the first cycle.
+    one = ("d11", "d6", "d7", "d9", "d10")
+    other = ("d9", "d1", "d2", "d4", "d5", "d6", "d7")
+    expected = []
+    for index, cycle in ((0, one), (15, other)):
+        closing = " -> ".join((*cycle, cycle[0]))
+        message = f"edge {cycle[0]} -> {cycle[1]} would close the cycle {closing}"
+        expected.append(repr((f"edges[{index}]: {message}", cycle)))
+    assert outputs[0].splitlines() == expected
+
+
+# ---------------------------------------------------------------------------
 # an append costs the event
 # ---------------------------------------------------------------------------
 
@@ -287,11 +491,9 @@ def _records(history) -> tuple[list[Vertex], list[LabeledEdge]]:
     return vertices, edges
 
 
-def test_a_history_grown_one_session_at_a_time_saves_as_loaded(monkeypatch):
-    # A 2.8k-vertex population history, appended session by session, then
-    # owner by owner, then the foreign-input links between old vertices.
-    population = _population(monkeypatch)
-    history = population.build_history(random.Random(1), voters=200, owners=20)
+def _parts(population, history) -> list:
+    """``history`` as appends: session by session, then owner by owner, then
+    the foreign-input links between old vertices."""
     parts = []
     for session in history.sessions:
         parts.append(population.History())
@@ -301,8 +503,15 @@ def test_a_history_grown_one_session_at_a_time_saves_as_loaded(monkeypatch):
         parts[-1].add_owner(owner)
     parts.append(population.History(owners=history.owners))
     parts[-1].link_foreign_inputs()
+    return parts
+
+
+def test_a_history_grown_one_session_at_a_time_saves_as_loaded(monkeypatch):
+    # A 2.8k-vertex population history, appended one part at a time.
+    population = _population(monkeypatch)
+    history = population.build_history(random.Random(1), voters=200, owners=20)
     graph = ProvGraph()
-    for part in parts:
+    for part in _parts(population, history):
         graph = graph.extend(*_records(part))
     assert len(graph.vertices) >= 2500
     assert vars(graph)["_report"] == ((), ())
@@ -310,12 +519,21 @@ def test_a_history_grown_one_session_at_a_time_saves_as_loaded(monkeypatch):
     assert save_graph(graph) == save_graph(load_graph(document)) == document
 
 
-def test_appending_a_session_lists_only_its_edges(monkeypatch):
-    # The check builds out-lists of the new edges only, and hands the
-    # parent's on, however large the parent.
+# The two population sizes each count pin is taken at: (voters, owners) of
+# about 300 and 2.8k vertices, with the same voter shape.
+_SIZES = pytest.mark.parametrize("voters, owners", [(20, 4), (200, 20)], ids=["300V", "2.8kV"])
+
+
+@_SIZES
+@pytest.mark.parametrize("built", [False, True], ids=["out-lists", "both-lists"])
+def test_appending_a_session_lists_only_its_edges(monkeypatch, voters, owners, built):
+    # The check lists the new edges once per direction the parent has built,
+    # and hands the parent's lists on, however large the parent: only the
+    # lists of the new edges' ends are new.
     population = _population(monkeypatch)
-    history = population.build_history(random.Random(1), voters=200, owners=20)
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
     graph = load_graph(history.document())
+    parents = [graph._outgoing, *([graph._incoming] if built else [])]
     session = population.History()
     session.add_session(population.Session("voter-new", "voter-new/booth1", 6))
     listed = []
@@ -328,9 +546,78 @@ def test_appending_a_session_lists_only_its_edges(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_edge_lists", counting_lists)
     grown = graph.extend(*_records(session))
-    assert listed == [len(session.edges)]
+    assert listed == [len(session.edges)] * len(parents)
+    assert ("_incoming" in vars(grown)) is built
+    for name, end, parent in zip(("_outgoing", "_incoming"), ("src", "dst"), parents):
+        ends = {getattr(edge, end) for edge in grown.edges - graph.edges}
+        handed_on = vars(grown)[name]
+        assert {vid for vid, own in handed_on.items() if parent.get(vid) is not own} == ends
     assert vars(grown)["_report"] == ((), ())
     assert grown.has_edge("voter-new/booth1/Receipt", "voter-new", R.WAS_ATTRIBUTED_TO)
+    receipt = LabeledEdge("voter-new/booth1/Receipt", "voter-new", R.WAS_ATTRIBUTED_TO)
+    assert receipt in grown.in_edges("voter-new")
+
+
+@_SIZES
+def test_loading_scans_each_edge_once_and_walks_nothing(monkeypatch, voters, owners):
+    population = _population(monkeypatch)
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
+    scanned, walks = [], []
+    scan, walk = graph_module._scan, graph_module._walk
+
+    def counting_scan(vertices, outgoing):
+        scanned.append(sum(map(len, outgoing.values())))
+        return scan(vertices, outgoing)
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(graph_module, "_scan", counting_scan)
+    monkeypatch.setattr(graph_module, "_walk", counting_walk)
+    graph = load_graph(history.document())
+    assert scanned == [len(history.edges)] == [len(graph.edges)]
+    assert walks == []
+
+
+class _Counted:
+    """Counts the items read by iterating any instance, in ``_Counted.reads``."""
+
+    reads = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            _Counted.reads += 1
+            yield item
+
+
+class _CountedList(_Counted, list):
+    pass
+
+
+class _CountedSet(_Counted, frozenset):
+    pass
+
+
+@_SIZES
+def test_has_edge_reads_at_most_the_source_out_degree(monkeypatch, voters, owners):
+    population = _population(monkeypatch)
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
+    graph = load_graph(history.document())
+    degree = {vid: len(own) for vid, own in graph._outgoing.items()}
+    probes = [(e.src, e.dst, e.label) for e in _sorted_edges(graph.edges)]
+    probes += [(src, src, label) for src, _, label in probes]  # absent
+    probes += [("absent", "absent", R.USED)]
+    # Every edge container the graph holds counts what is read from it.
+    for name in ("_outgoing", "_incoming"):
+        lists = getattr(graph, name)
+        vars(graph)[name] = {vid: _CountedList(own) for vid, own in lists.items()}
+    vars(graph)["edges"] = _CountedSet(graph.edges)
+    for src, dst, label in probes:
+        before = _Counted.reads
+        assert graph.has_edge(src, dst, label) is (LabeledEdge(src, dst, label) in graph.edges)
+        assert _Counted.reads - before <= degree.get(src, 0), (src, dst, label)
+    assert max(degree.values()) <= 7  # the synthetic voting histories' bound
 
 
 def test_chained_one_record_calls_build_the_batched_graph():

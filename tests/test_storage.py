@@ -209,6 +209,11 @@ def test_round_trip_at_population_scale():
     assert graph == unchecked
     assert unchecked.validate_typing() == [] and unchecked.validate_acyclic() == []
     assert graph.validate_typing() == [] and graph.validate_acyclic() == []
+    # Each edge holds its endpoints' own id strings, not copies of its own.
+    for loaded in (graph, unchecked):
+        vertices = loaded.vertices
+        for edge in loaded.edges:
+            assert edge.src is vertices[edge.src].id and edge.dst is vertices[edge.dst].id
 
 
 # ---------------------------------------------------------------------------
