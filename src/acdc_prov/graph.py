@@ -600,8 +600,8 @@ def union(*graphs: ProvGraph) -> ProvGraph:
 
     The same id must carry the same kind everywhere (DuplicateIdError
     otherwise); attrs are merged with later graphs winning on conflicts.
-    It ``extend``s the first graph (the empty one, if that is not known valid)
-    by the rest, edges sorted by (src, dst, label) as ``edges[i]`` counts.
+    It is the empty graph ``extend``ed by the merged vertices and every
+    graph's edges, sorted by (src, dst, label) as ``edges[i]`` counts.
     """
     vertices: dict[str, Vertex] = {}
     for graph in graphs:
@@ -618,10 +618,7 @@ def union(*graphs: ProvGraph) -> ProvGraph:
                 vertices[vid] = Vertex(
                     vid, existing.kind, {**existing.attrs, **vertex.attrs}
                 )
-    known = graphs and vars(graphs[0]).get("_report") == ((), ())  # validated clean
-    first, *later = graphs if known else (ProvGraph(), *graphs)
-    base = _graph(**{**vars(first), "vertices": {v: vertices[v] for v in first.vertices}})
     edges = sorted(
-        set().union(*(g.edges for g in later)), key=lambda e: (e.src, e.dst, e.label.value)
+        set().union(*(g.edges for g in graphs)), key=lambda e: (e.src, e.dst, e.label.value)
     )
-    return base.extend(vertices.values(), edges)
+    return ProvGraph().extend(vertices.values(), edges)

@@ -460,17 +460,26 @@ def test_a_union_closing_two_cycles_reports_the_same_one_under_any_hash_seed():
         for seed in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
-    # Edges are checked in (src, dst, label) order and walks break ties by
-    # id: the later graph's d11 -> d6 comes first; from the empty graph,
-    # every edge counts, and d9 -> d1, the 16th, closes the first cycle.
-    one = ("d11", "d6", "d7", "d9", "d10")
-    other = ("d9", "d1", "d2", "d4", "d5", "d6", "d7")
-    expected = []
-    for index, cycle in ((0, one), (15, other)):
-        closing = " -> ".join((*cycle, cycle[0]))
-        message = f"edge {cycle[0]} -> {cycle[1]} would close the cycle {closing}"
-        expected.append(repr((f"edges[{index}]: {message}", cycle)))
-    assert outputs[0].splitlines() == expected
+    # Every graph's edges are checked from the empty graph in (src, dst,
+    # label) order, and walks break ties by id: d9 -> d1, the 16th, closes
+    # the first cycle, whether or not the first graph is known valid.
+    cycle = ("d9", "d1", "d2", "d4", "d5", "d6", "d7")
+    closing = " -> ".join((*cycle, cycle[0]))
+    message = f"edges[15]: edge d9 -> d1 would close the cycle {closing}"
+    assert outputs[0].splitlines() == [repr((message, cycle))] * 2
+
+
+def test_union_refuses_an_ill_typed_edge_of_a_graph_built_directly():
+    agent, key = Vertex("n", VertexKind.NODE_AGENT), Vertex("k", VertexKind.KEY_ENTITY)
+    ill_typed = ProvGraph(
+        {"k": key, "n": agent}, {LabeledEdge("k", "n", RelationLabel.WAS_DERIVED_FROM)}
+    )
+    valid = ProvGraph().extend([Vertex("d", VertexKind.DATA_ENTITY)])
+    valid.validate_typing()
+    assert vars(valid)["_report"] == ((), ())
+    for graphs in ((valid, ill_typed), (ProvGraph(valid.vertices, valid.edges), ill_typed)):
+        with pytest.raises(TypeViolationError, match=r"^edges\[0\]: "):
+            union(*graphs)
 
 
 # ---------------------------------------------------------------------------
