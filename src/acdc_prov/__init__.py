@@ -2,7 +2,7 @@
 language, finite-model evaluation, event slicing, and worked audit scenarios."""
 
 from .evaluator import Verdict, conjoin, evaluate, evaluate_naive
-from .events import Event, extract_event, slice_by_agent
+from .events import extract_event, slice_by_agent
 from .graph import (
     LabeledEdge,
     ProvGraph,
@@ -52,7 +52,6 @@ __all__ = [
     "BoundPolicy",
     "CorpusPolicy",
     "Environment",
-    "Event",
     "FORMAT_VERSION",
     "LabeledEdge",
     "ProvGraph",

@@ -65,10 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise PolicyError(f"policy file {policy_path}: not valid UTF-8: {exc}") from None
     ast = parse_policy(source)
-    if args.env:
-        env = load_environment(_resolve(args.env).read_bytes())
-    else:
-        env = Environment()
+    env = load_environment(_resolve(args.env).read_bytes()) if args.env else Environment()
     bound = bind(ast, env, strict=args.strict)
     verdict = evaluate(bound, graph)
     if args.json:
@@ -104,20 +101,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"typing: {violation.describe()}")
         for cycle in cycles:
             print(f"cycle: {' -> '.join(cycle)}")
-        if valid:
-            print("valid")
-        else:
-            print(
-                f"invalid: {len(violations)} typing violation(s), "
-                f"{len(cycles)} cycle(s)"
-            )
+        counts = f"{len(violations)} typing violation(s), {len(cycles)} cycle(s)"
+        print("valid" if valid else f"invalid: {counts}")
     return 0 if valid else 1
 
 
 def cmd_event(args: argparse.Namespace) -> int:
     graph = load_graph(_resolve(args.graph).read_bytes())
-    event = extract_event(graph, args.activity)
-    sys.stdout.write(save_graph(event.subgraph).decode("utf-8"))
+    sys.stdout.write(save_graph(extract_event(graph, args.activity)).decode("utf-8"))
     return 0
 
 
@@ -128,16 +119,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         report = {
             "scenario": args.name,
             "pass": passed,
-            "checks": [
-                {
-                    "label": check.label,
-                    "policy": check.policy,
-                    "expected": check.expected,
-                    "actual": check.actual,
-                    "ok": check.ok,
-                }
-                for check in checks
-            ],
+            "checks": [{**vars(check), "ok": check.ok} for check in checks],
         }
         print(json.dumps(report, indent=2))
     else:

@@ -6,16 +6,14 @@ the associated node agents, the account agents those agents act on behalf
 of, and every edge between two of these vertices (the induced subgraph).
 A per-agent *slice* is the union of all events an account agent appears
 in; chains longer than one attribution hop are deliberately out of scope.
+Both are plain ``ProvGraph``s, known valid when the graph cut is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import LabeledEdge, ProvGraph, RelationLabel, Sort, Vertex, VertexKind, _graph
 
 __all__ = [
-    "Event",
     "extract_event",
     "slice_by_agent",
     "EventError",
@@ -41,14 +39,6 @@ class WrongKindError(EventError):
     """The requested vertex exists but has the wrong kind."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One activity's neighbourhood subgraph."""
-
-    subgraph: ProvGraph
-    activity: str
-
-
 def _typed(graph: ProvGraph, vid: str, kind: VertexKind, missing: type) -> Vertex:
     """``vid``'s vertex; ``missing`` if absent, WrongKindError if not ``kind``."""
     vertex = graph.vertices.get(vid)
@@ -59,8 +49,8 @@ def _typed(graph: ProvGraph, vid: str, kind: VertexKind, missing: type) -> Verte
     return vertex
 
 
-def extract_event(graph: ProvGraph, activity: str) -> Event:
-    """Cut the event subgraph around ``activity``.
+def extract_event(graph: ProvGraph, activity: str) -> ProvGraph:
+    """Return the event subgraph around ``activity``.
 
     The subgraph is the one induced by these vertices: exactly one activity
     (the named one), its used and generated entities, the agents attributed
@@ -90,7 +80,7 @@ def extract_event(graph: ProvGraph, activity: str) -> Event:
 
     edges = {e for e in graph.edges if e.src in included and e.dst in included}
     vertices = {vid: graph.vertices[vid] for vid in sorted(included)}
-    return Event(graph._vouch(_graph(vertices, edges)), activity)
+    return graph._vouch(_graph(vertices, edges))
 
 
 def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
@@ -103,7 +93,7 @@ def slice_by_agent(graph: ProvGraph, agent: str) -> ProvGraph:
     edges: set[LabeledEdge] = set()
     for activity in sorted(graph.vertices_of_sort(Sort.ACTIVITY)):
         event = extract_event(graph, activity)
-        if agent in event.subgraph.vertices:
-            vertices.update(event.subgraph.vertices)
-            edges |= event.subgraph.edges
+        if agent in event.vertices:
+            vertices.update(event.vertices)
+            edges |= event.edges
     return graph._vouch(_graph(vertices, edges))

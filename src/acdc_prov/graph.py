@@ -8,12 +8,13 @@ admits only a fixed set of (source kind, destination kind) combinations --
 see ``TYPING_RULES``.
 
 Graphs are read-only values, down to each vertex's ``attrs``, and validate
-at most once; a graph grows, and a union is built, through ``extend``, which
-checks only the new records. Vertices are looked up by id and compare by id,
-kind and attrs. As no graph changes, each keeps one adjacency: every vertex's
-out- and in-lists of edges, each built once on first use, or handed on by
-``extend``. Queries and checks read only these lists: ``has_edge`` scans the
-source's out-list, so it costs the source's out-degree.
+at most once; a graph grows, and a union is built, only through ``extend``,
+which takes a batch of records and checks only the new ones. Vertices are
+looked up by id, ``graph.vertices[vid]``, and compare by id, kind and attrs.
+As no graph changes, each keeps one adjacency: every vertex's out- and
+in-lists of edges, each built once on first use, or handed on by ``extend``.
+Queries and checks read only these lists: ``has_edge`` scans the source's
+out-list, so it costs the source's out-degree.
 """
 
 from __future__ import annotations
@@ -173,19 +174,26 @@ class CycleIntroducedError(GraphError):
 # ---------------------------------------------------------------------------
 
 
+def _check_id(vid: object) -> None:
+    """Refuse an id that is not a non-empty UTF-8 string (a ValueError)."""
+    if not isinstance(vid, str) or not vid:
+        raise ValueError("vertex id must be a non-empty string")
+    vid.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a lone surrogate
+
+
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex: a string id, not empty, a kind, and str-to-str attrs, all UTF-8."""
+    """A vertex: a non-empty string id, a VertexKind, str-to-str attrs, all UTF-8."""
 
     id: str
     kind: VertexKind
     attrs: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        vid, attrs = self.id, self.attrs
-        if not isinstance(vid, str) or not vid:
-            raise ValueError("vertex id must be a non-empty string")
-        vid.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a lone surrogate
+        attrs = self.attrs
+        _check_id(self.id)
+        if type(self.kind) is not VertexKind:
+            raise ValueError(f"vertex kind must be a VertexKind, not {self.kind!r}")
         if attrs or type(attrs) is not dict:  # no type tests on {}, the usual case
             if not isinstance(attrs, Mapping) or not all(
                 isinstance(s, str) for item in attrs.items() for s in item
@@ -243,7 +251,8 @@ class ProvGraph:
     Direct construction skips the edge checks, not ``Vertex``'s; a graph
     ``extend`` grows from a valid one is valid, and known to be.
     ``validate_typing``/``validate_acyclic`` check any instance, once, and
-    raise MissingVertexError for an edge whose endpoint is absent.
+    raise MissingVertexError for an edge whose endpoint is absent, or
+    ValueError for one whose label is not a RelationLabel.
     """
 
     vertices: Mapping[str, Vertex] = field(default_factory=dict)
@@ -304,7 +313,7 @@ class ProvGraph:
             try:
                 if any(_scan(ends, lists)):
                     return None
-            except MissingVertexError:
+            except (MissingVertexError, ValueError):  # a dangling or unlabelled edge
                 return None
             if old:
                 lists = _merged(old, lists)
@@ -319,7 +328,7 @@ class ProvGraph:
             first = bisect_left(stops, True, key=lambda stop: not checked(ordered[:stop]))
             try:
                 _check_edge(merged, checked(ordered[:first])[1], ordered[first])
-            except GraphError as exc:
+            except (GraphError, ValueError) as exc:
                 exc.args = (f"edges[{first}]: {exc}",)
                 raise
         fresh, outgoing = result
@@ -329,20 +338,6 @@ class ProvGraph:
         if "_incoming" in vars(self):
             caches["_incoming"] = _merged(self._incoming, _edge_lists(fresh, "dst"))
         return self._vouch(_graph(merged, self.edges.union(fresh), **caches))
-
-    def add_vertex(
-        self, vertex_id: str, kind: VertexKind, attrs: Mapping[str, str] | None = None
-    ) -> ProvGraph:
-        """``extend`` by the one vertex ``vertex_id`` of ``kind``: re-adding an
-        (id, kind) pair is a no-op. DuplicateIdError: the id is taken by
-        another kind; ValueError: the record breaks ``Vertex``'s rule."""
-        return self.extend([Vertex(vertex_id, kind, attrs or {})])
-
-    def add_edge(self, src: str, dst: str, label: RelationLabel) -> ProvGraph:
-        """``extend`` by the one edge ``src -> dst`` (label), its errors read
-        ``edges[0]: ...``: both endpoints must exist, the label must admit their
-        kinds, and no directed cycle may close. Re-adding an edge is a no-op."""
-        return self.extend((), [LabeledEdge(src, dst, label)])
 
     def _vouch(self, graph: ProvGraph) -> ProvGraph:
         """``graph``, a subgraph, checked ``extend`` or one-to-one renaming of
@@ -377,13 +372,6 @@ class ProvGraph:
             if edge.dst == dst and edge.label is label:
                 return True
         return False
-
-    def kind_of(self, vertex_id: str) -> VertexKind:
-        """Return the kind of ``vertex_id`` (MissingVertexError if absent)."""
-        vertex = self.vertices.get(vertex_id)
-        if vertex is None:
-            raise MissingVertexError(f"no vertex '{vertex_id}' in the graph")
-        return vertex.kind
 
     def vertices_of_sort(self, sort: Sort) -> set[str]:
         """Return the ids of all vertices whose kind belongs to ``sort``."""
@@ -492,9 +480,12 @@ def _check_edge(
     vertices: Mapping[str, Vertex], outgoing: _OutLists, edge: LabeledEdge
 ) -> None:
     """Raise the error that keeps ``edge`` out of a graph with these vertices
-    and out-lists: a missing endpoint, endpoint kinds its label does not
-    admit, a self-loop, or a directed cycle the edge would close."""
+    and out-lists: a label that is not a RelationLabel (ValueError), a
+    missing endpoint, endpoint kinds its label does not admit, a self-loop,
+    or a directed cycle the edge would close."""
     src, dst, label = edge.src, edge.dst, edge.label
+    if label not in TYPING_RULES:
+        raise ValueError(f"edge label must be a RelationLabel, not {label!r}")
     for vid in (src, dst):
         if vid not in vertices:
             raise MissingVertexError(f"edge endpoint '{vid}' is not in the graph")
@@ -522,13 +513,13 @@ def _scan(
 ) -> tuple[list[TypeViolation], list[str]]:
     """One pass over the edges in ``outgoing`` and one Kahn drain (Kahn 1962):
     the sorted typing violations and the vertices the drain leaves, on or
-    downstream of a cycle; a dangling edge raises ``_check_edge``'s error."""
+    downstream of a cycle; a dangling or unlabelled edge raises its error."""
     violations: list[TypeViolation] = []
     indegree = dict.fromkeys(vertices, 0)
     for edge in chain.from_iterable(outgoing.values()):
         source = vertices.get(edge.src)
         target = vertices.get(edge.dst)
-        if source is None or target is None:
+        if source is None or target is None or edge.label not in TYPING_RULES:
             _check_edge(vertices, {}, edge)
         if (source.kind, target.kind) not in TYPING_RULES[edge.label]:
             violations.append(

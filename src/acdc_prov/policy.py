@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple
 
-from .graph import RelationLabel, Sort
+from .graph import RelationLabel, Sort, _check_id
 
 __all__ = [
     "Policy",
@@ -501,26 +503,48 @@ def _render_term(term: Term) -> str:
 
 @dataclass(frozen=True)
 class Environment:
-    """Names available to a policy: constants (vertex ids) and id sets."""
+    """Names available to a policy: constants (vertex ids) and id sets, kept
+    as read-only copies. Names are strings, ids keep ``Vertex``'s id rule,
+    and a set is a collection of ids, not a string or a mapping; else a
+    ValueError names the binding."""
 
     constants: Mapping[str, str] = field(default_factory=dict)
     sets: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "sets",
-            {name: frozenset(members) for name, members in self.sets.items()},
-        )
+        constants, sets = dict(self.constants), dict(self.sets)
+        for name, vid in constants.items():
+            _ids("constants", name, (vid,))
+        for name, ids in sets.items():
+            sets[name] = _ids("sets", name, ids)
+        object.__setattr__(self, "constants", MappingProxyType(constants))
+        object.__setattr__(self, "sets", MappingProxyType(sets))
+
+    def __reduce__(self):
+        return Environment, (dict(self.constants), dict(self.sets))
+
+
+def _ids(table: str, name: object, ids: Collection[object]) -> frozenset[str]:
+    """The ``ids`` bound to ``name`` in ``table``, else a ValueError naming both."""
+    try:
+        if not isinstance(name, str):
+            raise ValueError("a name must be a string")
+        if isinstance(ids, (str, Mapping)) or not isinstance(ids, Collection):
+            raise ValueError(f"a {type(ids).__name__} is not a collection of ids")
+        for vid in ids:
+            _check_id(vid)
+    except ValueError as exc:
+        raise ValueError(f"{table}[{name!r}]: {exc}") from None
+    return frozenset(ids)
 
 
 @dataclass(frozen=True)
 class BoundPolicy:
     """A parsed policy together with its name-resolution table.
 
-    ``constants`` and ``sets`` hold the resolved names; the unresolved
-    remainder is kept so evaluation can report it (unresolved names make
-    the atoms that mention them false).
+    ``constants`` and ``sets`` hold the resolved names, read-only from
+    ``bind``; the unresolved remainder is kept so evaluation can report it
+    (unresolved names make the atoms that mention them false).
     """
 
     ast: Policy
@@ -528,6 +552,9 @@ class BoundPolicy:
     sets: Mapping[str, frozenset[str]]
     unresolved_constants: tuple[str, ...]
     unresolved_sets: tuple[str, ...]
+
+    def __reduce__(self):  # copied and pickled by binding the ast to its tables again
+        return bind, (self.ast, Environment(self.constants, self.sets))
 
     @property
     def unresolved(self) -> tuple[str, ...]:
@@ -576,4 +603,5 @@ def bind(ast: Policy, env: Environment, strict: bool = False) -> BoundPolicy:
     unresolved_sets = tuple(sorted(set_names - sets.keys()))
     if strict and (unresolved_constants or unresolved_sets):
         raise StrictBindingError((*unresolved_constants, *unresolved_sets))
-    return BoundPolicy(ast, constants, sets, unresolved_constants, unresolved_sets)
+    tables = MappingProxyType(constants), MappingProxyType(sets)  # read-only
+    return BoundPolicy(ast, *tables, unresolved_constants, unresolved_sets)

@@ -342,28 +342,18 @@ def _scenario_encapsulate(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioC
 
 
 def _scenario_duplicate_vote(entries: Mapping[str, CorpusPolicy]) -> list[ScenarioCheck]:
-    completed = build_voting_trace("Alice", "m1", BALLOT_STEPS)
-    in_progress = build_voting_trace("Alice", "m1", BALLOT_STEPS[:5])
-    resumed = build_two_state_trace("Alice", "m1", "m2")
+    cases = [
+        ("Alice already holds a receipt: refuse a second ballot",
+         build_voting_trace("Alice", "m1", BALLOT_STEPS), True),
+        ("no receipt printed yet: let Alice continue",
+         build_voting_trace("Alice", "m1", BALLOT_STEPS[:5]), False),
+        ("receipt found across machines: refuse the resumed attempt",
+         build_two_state_trace("Alice", "m1", "m2"), True),
+    ]
+    receipt = entries["receipt_attributed"]
     return [
-        _check(
-            "Alice already holds a receipt: refuse a second ballot",
-            entries["receipt_attributed"],
-            slice_by_agent(completed, "Alice"),
-            True,
-        ),
-        _check(
-            "no receipt printed yet: let Alice continue",
-            entries["receipt_attributed"],
-            slice_by_agent(in_progress, "Alice"),
-            False,
-        ),
-        _check(
-            "receipt found across machines: refuse the resumed attempt",
-            entries["receipt_attributed"],
-            slice_by_agent(resumed, "Alice"),
-            True,
-        ),
+        _check(label, receipt, slice_by_agent(trace, "Alice"), expected)
+        for label, trace, expected in cases
     ]
 
 

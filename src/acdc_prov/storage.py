@@ -194,17 +194,16 @@ def load_environment(data: bytes | str) -> Environment:
         isinstance(k, str) and isinstance(v, str) for k, v in constants.items()
     ):
         raise MalformedDocumentError("'constants' must map strings to strings")
-    raw_sets = doc.get("sets", {})
-    if not isinstance(raw_sets, dict):
+    sets = doc.get("sets", {})
+    if not isinstance(sets, dict):
         raise MalformedDocumentError("'sets' must be an object")
-    sets: dict[str, frozenset[str]] = {}
-    for name, members in raw_sets.items():
-        if not isinstance(members, list) or not all(
-            isinstance(m, str) for m in members
-        ):
+    for name, members in sets.items():
+        if not isinstance(members, list):
             raise MalformedDocumentError(f"sets[{name!r}]: must be a list of strings")
-        sets[name] = frozenset(members)
-    return Environment(constants=dict(constants), sets=sets)
+    try:
+        return Environment(constants, sets)
+    except ValueError as exc:  # a binding ``Environment`` refuses
+        raise MalformedDocumentError(str(exc)) from None
 
 
 def save_environment(env: Environment) -> bytes:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +19,18 @@ from acdc_prov.scenarios import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.fixture(scope="session")
+def population():
+    """``perfbench/population.py``, the benchmark's synthetic voting
+    histories, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "population.py"
+    spec = importlib.util.spec_from_file_location("population", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["population"] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

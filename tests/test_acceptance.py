@@ -139,12 +139,13 @@ def test_criterion_6_typing_table(capsys):
             forced = ProvGraph(vertices, frozenset({LabeledEdge("a", "b", label)}))
             violations = forced.validate_typing()
             assert (not violations) == allowed, (src_kind, dst_kind, label)
-            base = ProvGraph().add_vertex("a", src_kind).add_vertex("b", dst_kind)
+            base = ProvGraph().extend(vertices.values())
+            edge = [LabeledEdge("a", "b", label)]
             if allowed:
-                assert base.add_edge("a", "b", label).has_edge("a", "b", label)
+                assert base.extend(edges=edge).has_edge("a", "b", label)
             else:
                 with pytest.raises(TypeViolationError):
-                    base.add_edge("a", "b", label)
+                    base.extend(edges=edge)
         assert admitted == 23
 
 

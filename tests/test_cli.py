@@ -14,7 +14,7 @@ import pytest
 import acdc_prov
 from acdc_prov.cli import corpus_dir, main
 from acdc_prov.events import slice_by_agent
-from acdc_prov.graph import ProvGraph, RelationLabel, VertexKind
+from acdc_prov.graph import ProvGraph, RelationLabel, Vertex, VertexKind
 from acdc_prov.scenarios import SCENARIO_NAMES, corpus_graphs
 from acdc_prov.storage import load_graph, save_graph
 
@@ -275,7 +275,7 @@ def test_event_prints_the_event_subgraph(capsys):
     code = main(["event", "alice_trace_full.json", "--activity", "KeyGen"])
     assert code == 0
     out = capsys.readouterr().out
-    expected = extract_event(corpus_graphs()["alice_trace_full"], "KeyGen").subgraph
+    expected = extract_event(corpus_graphs()["alice_trace_full"], "KeyGen")
     assert out == save_graph(expected).decode("utf-8")
     assert load_graph(out) == expected
 
@@ -326,7 +326,7 @@ def test_scenario_rejects_unknown_name(capsys):
 def test_corpus_dir_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ACDC_CORPUS_DIR", str(tmp_path))
     assert corpus_dir() == tmp_path
-    g = ProvGraph().add_vertex("Solo", VertexKind.ACTIVITY)
+    g = ProvGraph().extend([Vertex("Solo", VertexKind.ACTIVITY)])
     _write(tmp_path, "solo.json", save_graph(g))
     _write(tmp_path, "anything.pol", "exists a: activity . true\n")
     assert main(["check", "solo.json", "anything.pol"]) == 0
@@ -337,8 +337,7 @@ def test_corpus_dir_env_override(tmp_path, monkeypatch, capsys):
 
 
 def test_direct_paths_beat_corpus_names(tmp_path, monkeypatch, capsys):
-    g = ProvGraph()
-    g = g.add_vertex("OnlyHere", VertexKind.ACCOUNT_AGENT)
+    g = ProvGraph().extend([Vertex("OnlyHere", VertexKind.ACCOUNT_AGENT)])
     _write(tmp_path, "encapsulate_bob.json", save_graph(g))
     probe = _write(tmp_path, "probe.pol", "exists a: activity . true\n")
     # from elsewhere the name finds the corpus graph, which has an activity
@@ -423,3 +422,14 @@ def test_long_connective_chains_are_checked(tmp_path, keyword):
     _write(tmp_path, "long.pol", f" {keyword} ".join(["true"] * 5000) + "\n")
     result = _run_cli(tmp_path, ["check", "empty.json", "long.pol"])
     assert (result.returncode, result.stdout, result.stderr) == (0, "satisfied\n", "")
+
+
+def test_an_environment_binding_a_surrogate_is_unusable_input(tmp_path):
+    # No vertex can carry that id, so there is no verdict to give.
+    _write(tmp_path, "bad.env.json", json.dumps({"constants": {"Bob": "\ud800"}}))
+    argv = ["check", "encapsulate_bob.json", "p3.pol", "--env", "bad.env.json"]
+    result = _run_cli(tmp_path, argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: constants['Bob']: ")
+    assert "Traceback" not in result.stderr

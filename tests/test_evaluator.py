@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import itertools
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -500,21 +498,10 @@ def test_the_chain_loop_agrees_on_random_inputs():
     assert len(outcomes) == 9
 
 
-def _population():
-    """``perfbench/population.py``, imported from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "population.py"
-    spec = importlib.util.spec_from_file_location("population", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["population"] = module  # its dataclasses look themselves up
-    spec.loader.exec_module(module)
-    return module
-
-
-def _assert_same_on_a_history(voters, owners, booth_policies, owner_policies):
+def _assert_same_on_a_history(population, voters, owners, booth_policies, owner_policies):
     """Both routes on a seeded population history: each of
     ``booth_policies`` under the history's booth environment, each of
     ``owner_policies`` under every owner's."""
-    population = _population()
     history = population.build_history(random.Random(1), voters=voters, owners=owners)
     graph = load_graph(history.document())
     booth = load_environment(history.booth_environment())
@@ -530,19 +517,20 @@ def _assert_same_on_a_history(voters, owners, booth_policies, owner_policies):
 _ENCAPSULATION_POLICIES = [f"p{i}" for i in range(1, 10)] + ["encapsulate_all"]
 
 
-def test_the_chain_loop_agrees_on_an_audit_sized_history():
+def test_the_chain_loop_agrees_on_an_audit_sized_history(population):
     # 177 vertices: every corpus policy under the booth environment and
     # under every owner's, which leaves the voting policies' contracts
     # unresolved. count_done under an owner's walks its whole 4-variable
     # product, 0.4 s a call, so it has the booth environment only.
     names = [entry.name for entry in corpus()]
-    _assert_same_on_a_history(10, 6, names, [n for n in names if n != "count_done"])
+    owner_policies = [n for n in names if n != "count_done"]
+    _assert_same_on_a_history(population, 10, 6, names, owner_policies)
 
 
-def test_the_chain_loop_agrees_on_an_872_vertex_history():
+def test_the_chain_loop_agrees_on_an_872_vertex_history(population):
     # count_done is left out: it takes most of a minute at this size.
     booth_policies = ["receipt_attributed", "blacklisted_actor"]
-    _assert_same_on_a_history(60, 10, booth_policies, _ENCAPSULATION_POLICIES)
+    _assert_same_on_a_history(population, 60, 10, booth_policies, _ENCAPSULATION_POLICIES)
 
 
 @pytest.mark.parametrize("depth", [100, 400])

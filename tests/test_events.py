@@ -47,57 +47,58 @@ def _disjoint_copy(graph: ProvGraph, prefix: str, keep: set[str] | None = None) 
 
 def test_single_event_graph_extracts_to_itself(encapsulation):
     event = extract_event(encapsulation, "Encapsulate")
-    assert event.activity == "Encapsulate"
-    assert event.subgraph == encapsulation
+    assert type(event) is ProvGraph
+    assert event.vertices["Encapsulate"].kind is VertexKind.ACTIVITY
+    assert event == encapsulation
 
 
 def test_extraction_ignores_unrelated_events(encapsulation):
     other = _disjoint_copy(encapsulation, "other")
     combined = union(encapsulation, other)
-    assert extract_event(combined, "Encapsulate").subgraph == encapsulation
-    assert extract_event(combined, "other/Encapsulate").subgraph == other
+    assert extract_event(combined, "Encapsulate") == encapsulation
+    assert extract_event(combined, "other/Encapsulate") == other
 
 
 def test_keygen_event_has_the_expected_shape(alice_trace):
     event = extract_event(alice_trace, "KeyGen")
-    assert set(event.subgraph.vertices) == {
+    assert set(event.vertices) == {
         "KeyGen",
         "KeyGenContract",
         "VoterKey",
         "Alice",
         "m1",
     }
-    assert len(event.subgraph.edges) == 6
-    assert event.subgraph.has_edge("KeyGen", "KeyGenContract", RelationLabel.USED)
-    assert event.subgraph.has_edge("VoterKey", "KeyGen", RelationLabel.WAS_GENERATED_BY)
-    assert event.subgraph.has_edge(
+    assert len(event.edges) == 6
+    assert event.has_edge("KeyGen", "KeyGenContract", RelationLabel.USED)
+    assert event.has_edge("VoterKey", "KeyGen", RelationLabel.WAS_GENERATED_BY)
+    assert event.has_edge(
         "VoterKey", "KeyGenContract", RelationLabel.WAS_DERIVED_FROM
     )
-    assert event.subgraph.has_edge("VoterKey", "Alice", RelationLabel.WAS_ATTRIBUTED_TO)
-    assert event.subgraph.has_edge("KeyGen", "m1", RelationLabel.WAS_ASSOCIATED_WITH)
-    assert event.subgraph.has_edge("m1", "Alice", RelationLabel.ACTED_ON_BEHALF_OF)
+    assert event.has_edge("VoterKey", "Alice", RelationLabel.WAS_ATTRIBUTED_TO)
+    assert event.has_edge("KeyGen", "m1", RelationLabel.WAS_ASSOCIATED_WITH)
+    assert event.has_edge("m1", "Alice", RelationLabel.ACTED_ON_BEHALF_OF)
 
 
 def test_count_event_reaches_the_voter_through_the_machine(alice_trace):
     # The tally is attributed to the machine, not the voter; the voter still
     # belongs to the event because the machine acts on her behalf.
     event = extract_event(alice_trace, "Count")
-    assert "Alice" in event.subgraph.vertices
-    assert event.subgraph.has_edge("Tally", "m1", RelationLabel.WAS_ATTRIBUTED_TO)
-    assert event.subgraph.has_edge("m1", "Alice", RelationLabel.ACTED_ON_BEHALF_OF)
-    assert "VoterKey" not in event.subgraph.vertices
+    assert "Alice" in event.vertices
+    assert event.has_edge("Tally", "m1", RelationLabel.WAS_ATTRIBUTED_TO)
+    assert event.has_edge("m1", "Alice", RelationLabel.ACTED_ON_BEHALF_OF)
+    assert "VoterKey" not in event.vertices
 
 
 def test_event_of_isolated_activity_is_a_single_vertex():
-    g = ProvGraph().add_vertex("Ping", VertexKind.ACTIVITY)
+    g = ProvGraph().extend([Vertex("Ping", VertexKind.ACTIVITY)])
     event = extract_event(g, "Ping")
-    assert set(event.subgraph.vertices) == {"Ping"}
-    assert not event.subgraph.edges
+    assert set(event.vertices) == {"Ping"}
+    assert not event.edges
 
 
 def test_event_keeps_derivations_between_its_entities(encapsulation):
     event = extract_event(encapsulation, "Encapsulate")
-    assert event.subgraph.has_edge(
+    assert event.has_edge(
         "SecureCapsule", "Plaintext", RelationLabel.WAS_DERIVED_FROM
     )
 
@@ -151,7 +152,7 @@ def _assert_events_match_per_label_definition(graph: ProvGraph) -> int:
     activities = sorted(graph.vertices_of_sort(Sort.ACTIVITY))
     for activity in activities:
         expected = _per_label_event_edges(graph, activity)
-        assert extract_event(graph, activity).subgraph.edges == expected, activity
+        assert extract_event(graph, activity).edges == expected, activity
     return len(activities)
 
 
@@ -185,7 +186,7 @@ def test_event_of_ill_typed_graph_keeps_edges_between_its_vertices(entries):
         LabeledEdge("Out", "Run", R.WAS_GENERATED_BY),
         LabeledEdge("Out", "In", R.WAS_ASSOCIATED_WITH),
     }
-    event = extract_event(ProvGraph(vertices, edges), "Run").subgraph
+    event = extract_event(ProvGraph(vertices, edges), "Run")
     assert event.edges == edges
     with pytest.raises(InvalidGraphError):
         evaluate(entries["p1"].bound(), event)
@@ -220,7 +221,7 @@ def test_slices_and_events_of_a_checked_graph_validate_nothing(
     graph = load_graph(save_graph(alice_trace))
     sliced = slice_by_agent(graph, "Alice")
     assert evaluate(entries["receipt_attributed"].bound(), sliced).satisfied
-    event = extract_event(graph, "KeyGen").subgraph
+    event = extract_event(graph, "KeyGen")
     assert evaluate(entries["keygen_done"].bound(), event).satisfied
     assert validations == ([], [])
 
@@ -257,7 +258,7 @@ def test_slice_spans_both_states_of_a_two_state_trace():
 
 
 def test_slice_of_uninvolved_agent_is_just_the_agent(alice_trace):
-    g = alice_trace.add_vertex("Dana", VertexKind.ACCOUNT_AGENT)
+    g = alice_trace.extend([Vertex("Dana", VertexKind.ACCOUNT_AGENT)])
     sliced = slice_by_agent(g, "Dana")
     assert set(sliced.vertices) == {"Dana"}
     assert not sliced.edges
@@ -284,7 +285,7 @@ def test_slice_requires_an_account_agent(alice_trace):
 def test_events_are_valid_single_activity_subgraphs(seed):
     graph = random_graph(random.Random(seed))
     for activity in graph.vertices_of_sort(Sort.ACTIVITY):
-        sub = extract_event(graph, activity).subgraph
+        sub = extract_event(graph, activity)
         assert set(sub.vertices) <= set(graph.vertices)
         assert sub.edges <= graph.edges
         assert sub.vertices_of_sort(Sort.ACTIVITY) == {activity}

@@ -252,16 +252,20 @@ def test_a_taken_id_of_another_kind_is_refused_and_repeats_are_no_ops(alice_trac
     assert list(grown.vertices) == [*alice_trace.vertices, "Note"]
 
 
-def test_one_record_paths_are_one_record_extends(alice_trace):
+def test_one_record_extends_name_index_zero(alice_trace):
+    ill_typed = LabeledEdge("m1", "Alice", R.USED)
     with pytest.raises(TypeViolationError, match=r"^edges\[0\]: Used does not admit"):
-        alice_trace.add_edge("m1", "Alice", R.USED)
+        alice_trace.extend(edges=[ill_typed])
+    dangling = LabeledEdge("ghost", "Alice", R.WAS_ATTRIBUTED_TO)
     with pytest.raises(MissingVertexError, match=r"^edges\[0\]: edge endpoint 'ghost'"):
-        alice_trace.add_edge("ghost", "Alice", R.WAS_ATTRIBUTED_TO)
+        alice_trace.extend(edges=[dangling])
     closing = r"^edges\[0\]: edge KeyGenContract -> VoterKey would close the cycle"
+    derived = LabeledEdge("KeyGenContract", "VoterKey", R.WAS_DERIVED_FROM)
     with pytest.raises(CycleIntroducedError, match=closing):
-        alice_trace.add_edge("KeyGenContract", "VoterKey", R.WAS_DERIVED_FROM)
-    assert alice_trace.add_edge("m1", "Alice", R.ACTED_ON_BEHALF_OF) is alice_trace
-    assert alice_trace.add_vertex("m1", K.NODE_AGENT) is alice_trace
+        alice_trace.extend(edges=[derived])
+    held = LabeledEdge("m1", "Alice", R.ACTED_ON_BEHALF_OF)
+    assert alice_trace.extend(edges=[held]) is alice_trace
+    assert alice_trace.extend([Vertex("m1", K.NODE_AGENT)]) is alice_trace
 
 
 def test_an_unvalidated_parent_hands_on_no_report():
@@ -310,12 +314,11 @@ def test_in_lists_agree_with_a_graph_built_in_one_go_at_every_split(built):
 
 
 @pytest.mark.parametrize("voters, owners", [(20, 4), (200, 20)], ids=["300V", "2.8kV"])
-def test_in_lists_survive_a_history_grown_one_session_at_a_time(monkeypatch, voters, owners):
+def test_in_lists_survive_a_history_grown_one_session_at_a_time(population, voters, owners):
     # Every other parent has built its in-lists, so the chain mixes lists
     # handed on, lists rebuilt from the edges and no lists at all. At 300 V
     # each step is compared with a graph built from its records; at 2.8k V,
     # to keep the test short, only the end.
-    population = _population(monkeypatch)
     history = population.build_history(random.Random(1), voters=voters, owners=owners)
     graph = ProvGraph()
     for i, part in enumerate(_parts(population, history)):
@@ -487,13 +490,6 @@ def test_union_refuses_an_ill_typed_edge_of_a_graph_built_directly():
 # ---------------------------------------------------------------------------
 
 
-def _population(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import population
-
-    return population
-
-
 def _records(history) -> tuple[list[Vertex], list[LabeledEdge]]:
     vertices = [Vertex(vid, K(kind)) for vid, kind in history.kinds.items()]
     edges = [LabeledEdge(s, d, R(label)) for s, d, label in history.edges]
@@ -515,9 +511,8 @@ def _parts(population, history) -> list:
     return parts
 
 
-def test_a_history_grown_one_session_at_a_time_saves_as_loaded(monkeypatch):
+def test_a_history_grown_one_session_at_a_time_saves_as_loaded(population):
     # A 2.8k-vertex population history, appended one part at a time.
-    population = _population(monkeypatch)
     history = population.build_history(random.Random(1), voters=200, owners=20)
     graph = ProvGraph()
     for part in _parts(population, history):
@@ -535,11 +530,12 @@ _SIZES = pytest.mark.parametrize("voters, owners", [(20, 4), (200, 20)], ids=["3
 
 @_SIZES
 @pytest.mark.parametrize("built", [False, True], ids=["out-lists", "both-lists"])
-def test_appending_a_session_lists_only_its_edges(monkeypatch, voters, owners, built):
+def test_appending_a_session_lists_only_its_edges(
+    population, monkeypatch, voters, owners, built
+):
     # The check lists the new edges once per direction the parent has built,
     # and hands the parent's lists on, however large the parent: only the
     # lists of the new edges' ends are new.
-    population = _population(monkeypatch)
     history = population.build_history(random.Random(1), voters=voters, owners=owners)
     graph = load_graph(history.document())
     parents = [graph._outgoing, *([graph._incoming] if built else [])]
@@ -568,8 +564,9 @@ def test_appending_a_session_lists_only_its_edges(monkeypatch, voters, owners, b
 
 
 @_SIZES
-def test_loading_scans_each_edge_once_and_walks_nothing(monkeypatch, voters, owners):
-    population = _population(monkeypatch)
+def test_loading_scans_each_edge_once_and_walks_nothing(
+    population, monkeypatch, voters, owners
+):
     history = population.build_history(random.Random(1), voters=voters, owners=owners)
     scanned, walks = [], []
     scan, walk = graph_module._scan, graph_module._walk
@@ -609,8 +606,7 @@ class _CountedSet(_Counted, frozenset):
 
 
 @_SIZES
-def test_has_edge_reads_at_most_the_source_out_degree(monkeypatch, voters, owners):
-    population = _population(monkeypatch)
+def test_has_edge_reads_at_most_the_source_out_degree(population, voters, owners):
     history = population.build_history(random.Random(1), voters=voters, owners=owners)
     graph = load_graph(history.document())
     degree = {vid: len(own) for vid, own in graph._outgoing.items()}
@@ -631,14 +627,14 @@ def test_has_edge_reads_at_most_the_source_out_degree(monkeypatch, voters, owner
 
 def test_chained_one_record_calls_build_the_batched_graph():
     # The one chained exerciser: each record of a random graph inserted on
-    # its own, through ``add_vertex`` and ``add_edge``.
+    # its own, through a one-record ``extend``.
     for seed in range(200):
         graph, order = random_graph_with_order(random.Random(seed), 12, min_vertices=1)
         chained = ProvGraph()
         for vid in order:
-            chained = chained.add_vertex(vid, graph.vertices[vid].kind)
+            chained = chained.extend([Vertex(vid, graph.vertices[vid].kind)])
         for edge in _sorted_edges(graph.edges):
-            chained = chained.add_edge(edge.src, edge.dst, edge.label)
+            chained = chained.extend(edges=[edge])
         assert chained == graph and vars(chained)["_report"] == ((), ())
 
 

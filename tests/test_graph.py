@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,7 +46,7 @@ R = RelationLabel
 
 
 def two_vertex_graph(src_kind: K, dst_kind: K) -> ProvGraph:
-    return ProvGraph().add_vertex("a", src_kind).add_vertex("b", dst_kind)
+    return ProvGraph().extend([Vertex("a", src_kind), Vertex("b", dst_kind)])
 
 
 # ---------------------------------------------------------------------------
@@ -53,43 +54,54 @@ def two_vertex_graph(src_kind: K, dst_kind: K) -> ProvGraph:
 # ---------------------------------------------------------------------------
 
 
-def test_add_vertex_returns_new_graph():
+def test_extend_by_a_vertex_returns_new_graph():
     empty = ProvGraph()
-    g = empty.add_vertex("k", K.KEY_ENTITY)
+    g = empty.extend([Vertex("k", K.KEY_ENTITY)])
     assert "k" in g.vertices
     assert "k" not in empty.vertices
 
 
-def test_add_vertex_idempotent_for_same_kind():
-    g = ProvGraph().add_vertex("k", K.KEY_ENTITY)
-    assert g.add_vertex("k", K.KEY_ENTITY) == g
+def test_extend_by_a_held_vertex_of_the_same_kind_is_a_no_op():
+    g = ProvGraph().extend([Vertex("k", K.KEY_ENTITY)])
+    assert g.extend([Vertex("k", K.KEY_ENTITY)]) == g
 
 
-def test_add_vertex_rejects_kind_change():
-    g = ProvGraph().add_vertex("k", K.KEY_ENTITY)
+def test_extend_rejects_a_kind_change():
+    g = ProvGraph().extend([Vertex("k", K.KEY_ENTITY)])
     with pytest.raises(DuplicateIdError):
-        g.add_vertex("k", K.DATA_ENTITY)
+        g.extend([Vertex("k", K.DATA_ENTITY)])
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: ProvGraph().add_vertex("", K.KEY_ENTITY),
-        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"x": 1}),
-        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {1: "x"}),
-        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"x": None}),
-        lambda: ProvGraph().add_vertex("\ud800", K.KEY_ENTITY),
-        lambda: ProvGraph().add_vertex("k", K.KEY_ENTITY, {"\udfff": "x"}),
+        lambda: Vertex("", K.KEY_ENTITY),
+        lambda: Vertex("k", K.KEY_ENTITY, {"x": 1}),
+        lambda: Vertex("k", K.KEY_ENTITY, {1: "x"}),
+        lambda: Vertex("k", K.KEY_ENTITY, {"x": None}),
+        lambda: Vertex("\ud800", K.KEY_ENTITY),
+        lambda: Vertex("k", K.KEY_ENTITY, {"\udfff": "x"}),
         lambda: two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY).renamed({"a": ""}),
         lambda: Vertex("k", K.KEY_ENTITY, None),
         lambda: Vertex(7, K.KEY_ENTITY),
         lambda: ProvGraph({"x": Vertex("a", K.ACTIVITY)}),
         lambda: ProvGraph({"": Vertex("a", K.ACTIVITY)}),
+        lambda: Vertex("a", "activity"),
+        lambda: Vertex("a", Sort.ACTIVITY),
+        lambda: Vertex("a", None),
+        lambda: two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).extend(
+            edges=[LabeledEdge("a", "b", "Used")]
+        ),
+        lambda: ProvGraph(
+            two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).vertices,
+            {LabeledEdge("a", "b", "Used")},
+        ).validate_typing(),
     ],
     ids=[
         "empty-id", "int-value", "int-key", "none-value", "surrogate-id",
         "surrogate-key", "renamed-to-empty", "attrs-none", "int-id",
-        "key-not-id", "empty-key",
+        "key-not-id", "empty-key", "kind-name", "sort-kind", "no-kind",
+        "label-name", "unchecked-label-name",
     ],
 )
 def test_a_vertex_record_that_breaks_the_rule_is_refused(make):
@@ -99,8 +111,29 @@ def test_a_vertex_record_that_breaks_the_rule_is_refused(make):
         make()
 
 
+def test_a_kind_that_is_not_a_vertex_kind_is_refused_by_name():
+    message = "vertex kind must be a VertexKind, not 'activity'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Vertex("a", "activity")
+
+
+@pytest.mark.parametrize("label", ["Used", "used", None, K.ACTIVITY])
+def test_an_edge_label_that_is_not_a_relation_label_is_refused(label):
+    # The refusal names the label, where it used to surface as a bare
+    # KeyError from the typing table.
+    g = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY)
+    bad = LabeledEdge("a", "b", label)
+    message = f"edge label must be a RelationLabel, not {label!r}"
+    with pytest.raises(ValueError, match=f"^edges\\[1\\]: {re.escape(message)}$"):
+        g.extend(edges=[LabeledEdge("a", "b", R.USED), bad])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProvGraph(g.vertices, {bad}).validate_typing()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProvGraph(g.vertices, {bad}).validate_acyclic()
+
+
 def test_vertex_attrs_are_kept():
-    g = ProvGraph().add_vertex("k", K.KEY_ENTITY, {"display": "owner key"})
+    g = ProvGraph().extend([Vertex("k", K.KEY_ENTITY, {"display": "owner key"})])
     assert g.vertices["k"].attrs == {"display": "owner key"}
 
 
@@ -109,73 +142,71 @@ def test_vertex_attrs_are_kept():
 # ---------------------------------------------------------------------------
 
 
-def test_add_edge_and_has_edge():
-    g = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).add_edge("a", "b", R.USED)
+def test_extend_by_an_edge_and_has_edge():
+    used = LabeledEdge("a", "b", R.USED)
+    g = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).extend(edges=[used])
     assert g.has_edge("a", "b", R.USED)
     assert not g.has_edge("b", "a", R.USED)
     assert not g.has_edge("a", "b", R.WAS_DERIVED_FROM)
     assert not g.has_edge("a", "missing", R.USED)
 
 
-def test_add_edge_idempotent():
-    g = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).add_edge("a", "b", R.USED)
-    assert g.add_edge("a", "b", R.USED) == g
+def test_extend_by_a_held_edge_is_a_no_op():
+    used = LabeledEdge("a", "b", R.USED)
+    g = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).extend(edges=[used])
+    assert g.extend(edges=[used]) == g
 
 
-def test_add_edge_requires_endpoints():
-    g = ProvGraph().add_vertex("a", K.ACTIVITY)
+def test_extend_by_an_edge_requires_endpoints():
+    g = ProvGraph().extend([Vertex("a", K.ACTIVITY)])
     with pytest.raises(MissingVertexError):
-        g.add_edge("a", "ghost", R.USED)
+        g.extend(edges=[LabeledEdge("a", "ghost", R.USED)])
 
 
-def test_add_edge_rejects_wrong_direction_delegation():
+def test_extend_rejects_wrong_direction_delegation():
     # Delegation runs node agent -> account agent, never the reverse.
     g = two_vertex_graph(K.ACCOUNT_AGENT, K.NODE_AGENT)
     with pytest.raises(TypeViolationError) as err:
-        g.add_edge("a", "b", R.ACTED_ON_BEHALF_OF)
+        g.extend(edges=[LabeledEdge("a", "b", R.ACTED_ON_BEHALF_OF)])
     assert err.value.violation.src_kind is K.ACCOUNT_AGENT
     assert "ActedOnBehalfOf" in str(err.value)
 
 
-def test_add_edge_rejects_association_with_account_agent():
+def test_extend_rejects_association_with_account_agent():
     g = two_vertex_graph(K.ACTIVITY, K.ACCOUNT_AGENT)
     with pytest.raises(TypeViolationError):
-        g.add_edge("a", "b", R.WAS_ASSOCIATED_WITH)
+        g.extend(edges=[LabeledEdge("a", "b", R.WAS_ASSOCIATED_WITH)])
 
 
-def test_add_edge_rejects_two_cycle():
+def test_extend_rejects_two_cycle():
     g = two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY)
-    g = g.add_edge("a", "b", R.WAS_DERIVED_FROM)
+    g = g.extend(edges=[LabeledEdge("a", "b", R.WAS_DERIVED_FROM)])
     with pytest.raises(CycleIntroducedError) as err:
-        g.add_edge("b", "a", R.WAS_DERIVED_FROM)
+        g.extend(edges=[LabeledEdge("b", "a", R.WAS_DERIVED_FROM)])
     assert set(err.value.cycle) == {"a", "b"}
 
 
-def test_add_edge_rejects_longer_cycle():
-    g = (
-        ProvGraph()
-        .add_vertex("a", K.DATA_ENTITY)
-        .add_vertex("b", K.DATA_ENTITY)
-        .add_vertex("c", K.DATA_ENTITY)
-        .add_edge("a", "b", R.WAS_DERIVED_FROM)
-        .add_edge("b", "c", R.WAS_DERIVED_FROM)
+def test_extend_rejects_longer_cycle():
+    g = ProvGraph().extend(
+        [Vertex(vid, K.DATA_ENTITY) for vid in "abc"],
+        [LabeledEdge(*pair, R.WAS_DERIVED_FROM) for pair in ("ab", "bc")],
     )
     with pytest.raises(CycleIntroducedError):
-        g.add_edge("c", "a", R.WAS_DERIVED_FROM)
+        g.extend(edges=[LabeledEdge("c", "a", R.WAS_DERIVED_FROM)])
 
 
-def test_add_edge_rejects_self_loop():
-    g = ProvGraph().add_vertex("d", K.DATA_ENTITY)
+def test_extend_rejects_self_loop():
+    g = ProvGraph().extend([Vertex("d", K.DATA_ENTITY)])
     with pytest.raises(CycleIntroducedError):
-        g.add_edge("d", "d", R.WAS_DERIVED_FROM)
+        g.extend(edges=[LabeledEdge("d", "d", R.WAS_DERIVED_FROM)])
 
 
 def test_parallel_labels_between_same_vertices():
     g = two_vertex_graph(K.DATA_ENTITY, K.CONTRACT_ENTITY)
-    g = g.add_edge("a", "b", R.WAS_DERIVED_FROM)
+    g = g.extend(edges=[LabeledEdge("a", "b", R.WAS_DERIVED_FROM)])
     # A second label on the same ordered pair is a distinct edge.
     g2 = two_vertex_graph(K.ACTIVITY, K.CONTRACT_ENTITY)
-    g2 = g2.add_edge("a", "b", R.USED)
+    g2 = g2.extend(edges=[LabeledEdge("a", "b", R.USED)])
     assert len(g.edges) == 1 and len(g2.edges) == 1
 
 
@@ -300,10 +331,10 @@ def test_vertices_of_sort_on_empty_graph():
     assert ProvGraph().vertices_of_sort(Sort.VERTEX) == set()
 
 
-def test_kind_of(encapsulation):
-    assert encapsulation.kind_of("sgx") is K.NODE_AGENT
-    with pytest.raises(MissingVertexError):
-        encapsulation.kind_of("nobody")
+def test_kinds_are_read_through_vertices(encapsulation):
+    assert encapsulation.vertices["sgx"].kind is K.NODE_AGENT
+    with pytest.raises(KeyError):
+        encapsulation.vertices["nobody"]
 
 
 def test_out_and_in_edges(encapsulation):
@@ -333,21 +364,18 @@ def test_renamed_rejects_collisions():
 
 
 def test_union_merges_and_checks_kinds(encapsulation):
-    other = ProvGraph().add_vertex("Extra", K.DATA_ENTITY)
+    other = ProvGraph().extend([Vertex("Extra", K.DATA_ENTITY)])
     merged = union(encapsulation, other)
     assert set(merged.vertices) == set(encapsulation.vertices) | {"Extra"}
-    conflicting = ProvGraph().add_vertex("Bob", K.NODE_AGENT)
+    conflicting = ProvGraph().extend([Vertex("Bob", K.NODE_AGENT)])
     with pytest.raises(DuplicateIdError):
         union(encapsulation, conflicting)
 
 
 def test_union_rejects_cross_graph_cycles():
-    a = two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY).add_edge(
-        "a", "b", R.WAS_DERIVED_FROM
-    )
-    b = two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY).add_edge(
-        "b", "a", R.WAS_DERIVED_FROM
-    )
+    g = two_vertex_graph(K.DATA_ENTITY, K.DATA_ENTITY)
+    a = g.extend(edges=[LabeledEdge("a", "b", R.WAS_DERIVED_FROM)])
+    b = g.extend(edges=[LabeledEdge("b", "a", R.WAS_DERIVED_FROM)])
     with pytest.raises(CycleIntroducedError):
         union(a, b)
 
@@ -358,31 +386,38 @@ def test_union_rejects_cross_graph_cycles():
 
 
 def _graph_with_attrs() -> ProvGraph:
-    g = ProvGraph()
-    for vid, kind in (
-        ("Run", K.ACTIVITY),
-        ("Out", K.DATA_ENTITY),
-        ("m1", K.NODE_AGENT),
-        ("Bob", K.ACCOUNT_AGENT),
-    ):
-        g = g.add_vertex(vid, kind, {"display": vid.lower()})
-    g = g.add_edge("Out", "Run", R.WAS_GENERATED_BY)
-    g = g.add_edge("Out", "Bob", R.WAS_ATTRIBUTED_TO)
-    g = g.add_edge("Run", "m1", R.WAS_ASSOCIATED_WITH)
-    return g.add_edge("m1", "Bob", R.ACTED_ON_BEHALF_OF)
+    vertices = [
+        Vertex(vid, kind, {"display": vid.lower()})
+        for vid, kind in (
+            ("Run", K.ACTIVITY),
+            ("Out", K.DATA_ENTITY),
+            ("m1", K.NODE_AGENT),
+            ("Bob", K.ACCOUNT_AGENT),
+        )
+    ]
+    return ProvGraph().extend(
+        vertices,
+        [
+            LabeledEdge("Out", "Run", R.WAS_GENERATED_BY),
+            LabeledEdge("Out", "Bob", R.WAS_ATTRIBUTED_TO),
+            LabeledEdge("Run", "m1", R.WAS_ASSOCIATED_WITH),
+            LabeledEdge("m1", "Bob", R.ACTED_ON_BEHALF_OF),
+        ],
+    )
 
 
 _GRAPH_SOURCES = {
     "empty": lambda: ProvGraph(),
     "constructor": lambda: ProvGraph({"Run": Vertex("Run", K.ACTIVITY, {"display": "run"})}),
-    "add_vertex": _graph_with_attrs,
+    "extend": _graph_with_attrs,
     "load_graph": lambda: load_graph(save_graph(_graph_with_attrs())),
     "load_graph_unchecked": lambda: load_graph_unchecked(save_graph(_graph_with_attrs())),
     "union": lambda: union(
-        _graph_with_attrs(), ProvGraph().add_vertex("Bob", K.ACCOUNT_AGENT, {"x": "y"})
+        _graph_with_attrs(),
+        ProvGraph().extend([Vertex("Bob", K.ACCOUNT_AGENT, {"x": "y"})]),
     ),
     "renamed": lambda: _graph_with_attrs().renamed({"Bob": "Alice"}),
-    "extract_event": lambda: extract_event(_graph_with_attrs(), "Run").subgraph,
+    "extract_event": lambda: extract_event(_graph_with_attrs(), "Run"),
     "slice_by_agent": lambda: slice_by_agent(_graph_with_attrs(), "Bob"),
 }
 
@@ -405,7 +440,7 @@ def test_graphs_keep_private_copies_of_their_inputs():
     vertices = {"x": Vertex("x", K.DATA_ENTITY, attrs), "y": Vertex("y", K.DATA_ENTITY)}
     edges = {LabeledEdge("x", "y", R.WAS_DERIVED_FROM)}
     graph = ProvGraph(vertices, edges)
-    added = ProvGraph().add_vertex("z", K.DATA_ENTITY, attrs)
+    added = ProvGraph().extend([Vertex("z", K.DATA_ENTITY, attrs)])
     attrs["display"] = "second"
     vertices["w"] = vertices.pop("y")
     edges.add(LabeledEdge("y", "x", R.WAS_DERIVED_FROM))
@@ -437,7 +472,7 @@ def test_validation_reports_are_fresh_lists():
 
 
 def test_read_only_graphs_still_copy_and_pickle(alice_trace):
-    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY, {"display": "memo"})
+    graph = alice_trace.extend([Vertex("Note", K.DATA_ENTITY, {"display": "memo"})])
     for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert twin == graph
         assert save_graph(twin) == save_graph(graph)
@@ -535,8 +570,8 @@ def test_index_matches_the_scans_at_high_degree():
 
 
 def test_index_matches_the_scans_on_derived_graphs(encapsulation, alice_trace):
-    built = _graph_with_attrs().add_vertex("In", K.KEY_ENTITY).add_edge(
-        "Run", "In", R.USED
+    built = _graph_with_attrs().extend(
+        [Vertex("In", K.KEY_ENTITY)], [LabeledEdge("Run", "In", R.USED)]
     )
     for graph in (
         built,
@@ -547,17 +582,17 @@ def test_index_matches_the_scans_on_derived_graphs(encapsulation, alice_trace):
 
 
 def test_derived_graphs_answer_from_their_own_edges(alice_trace):
-    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY)
+    graph = alice_trace.extend([Vertex("Note", K.DATA_ENTITY)])
     new_edge = ("Note", "Alice", R.WAS_ATTRIBUTED_TO)
     assert not graph.has_edge(*new_edge)
     assert list(graph.out_edges("Note")) == []
     assert list(graph.in_edges("Alice", R.ACTED_ON_BEHALF_OF))
     lists = [vars(graph)[name] for name in ("_outgoing", "_incoming")]
     derived = {
-        "add_edge": graph.add_edge(*new_edge),
-        "add_vertex": graph.add_vertex("Other", K.DATA_ENTITY),
+        "extend_edge": graph.extend(edges=[LabeledEdge(*new_edge)]),
+        "extend_vertex": graph.extend([Vertex("Other", K.DATA_ENTITY)]),
         "renamed": graph.renamed({"Note": "Memo"}),
-        "union": union(graph, ProvGraph().add_vertex("Other", K.DATA_ENTITY)),
+        "union": union(graph, ProvGraph().extend([Vertex("Other", K.DATA_ENTITY)])),
         "copy": copy.copy(graph),
         "deepcopy": copy.deepcopy(graph),
         "pickle": pickle.loads(pickle.dumps(graph)),
@@ -568,11 +603,11 @@ def test_derived_graphs_answer_from_their_own_edges(alice_trace):
         # out-lists, sharing only the lists its new edges leave untouched.
         held = list(vars(twin).values())
         assert not any(mine is theirs for mine in held for theirs in lists), name
-    handed_on = vars(derived["add_edge"])["_outgoing"]
+    handed_on = vars(derived["extend_edge"])["_outgoing"]
     assert handed_on["Note"] is not lists[0].get("Note")
     assert all(handed_on[vid] is own for vid, own in lists[0].items())
-    assert derived["add_edge"].has_edge(*new_edge)
-    assert list(derived["add_edge"].out_edges("Note")) == [LabeledEdge(*new_edge)]
+    assert derived["extend_edge"].has_edge(*new_edge)
+    assert list(derived["extend_edge"].out_edges("Note")) == [LabeledEdge(*new_edge)]
     assert not graph.has_edge(*new_edge)
 
 
@@ -600,7 +635,7 @@ def test_the_index_is_built_at_most_once_per_graph(monkeypatch, alice_trace):
 
     # ``extend`` hands on the out-lists its check built from the parent's,
     # and a checked load is an ``extend`` of the empty graph.
-    graph = alice_trace.add_vertex("Note", K.DATA_ENTITY)
+    graph = alice_trace.extend([Vertex("Note", K.DATA_ENTITY)])
     loaded = load_graph(save_graph(graph))
     assert built == [] and all("_outgoing" in vars(g) for g in (graph, loaded))
     for extended in (graph, loaded):
@@ -634,13 +669,10 @@ def test_an_indexed_graph_builds_no_edges_to_answer(monkeypatch, alice_trace):
     assert {v: _sorted_edges(alice_trace.in_edges(v, R.USED)) for v in ids} == incoming
 
 
-def test_the_adjacency_costs_little_beyond_the_loaded_graph(monkeypatch):
+def test_the_adjacency_costs_little_beyond_the_loaded_graph(population):
     # A 2.8k-vertex population history, queried in both directions and
     # validated, holds at most 1.5 times the memory of the same document
     # loaded without checks and never queried.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import population
-
     data = population.build_history(random.Random(1), voters=200, owners=20).document()
 
     def traced(load, touch) -> int:
@@ -872,7 +904,7 @@ def test_insertion_accepts_exactly_the_typing_table(seed):
     label = rng.choice(list(R))
     g = two_vertex_graph(src_kind, dst_kind)
     if (src_kind, dst_kind) in TYPING_RULES[label]:
-        assert g.add_edge("a", "b", label).has_edge("a", "b", label)
+        assert g.extend(edges=[LabeledEdge("a", "b", label)]).has_edge("a", "b", label)
     else:
         with pytest.raises(TypeViolationError):
-            g.add_edge("a", "b", label)
+            g.extend(edges=[LabeledEdge("a", "b", label)])

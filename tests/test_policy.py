@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import functools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from acdc_prov import policy
+from acdc_prov.evaluator import evaluate
 from acdc_prov.graph import RelationLabel, Sort
 from acdc_prov.policy import (
     And,
@@ -665,3 +668,72 @@ def test_bind_does_not_check_vertex_existence():
 def test_environment_normalises_sets():
     env = Environment(sets={"s": {"a", "b"}})
     assert isinstance(env.sets["s"], frozenset)
+
+
+@pytest.mark.parametrize(
+    "constants, sets, message",
+    [
+        ({"Bob": "\ud800"}, {}, "constants['Bob']: 'utf-8' codec can't encode"),
+        ({"Bob": ""}, {}, "constants['Bob']: vertex id must be a non-empty string"),
+        ({"Bob": 7}, {}, "constants['Bob']: vertex id must be a non-empty string"),
+        ({7: "Bob"}, {}, "constants[7]: a name must be a string"),
+        ({}, {"s": "Bob"}, "sets['s']: a str is not a collection of ids"),
+        ({}, {"s": {"Bob": "x"}}, "sets['s']: a dict is not a collection of ids"),
+        ({}, {"s": 7}, "sets['s']: a int is not a collection of ids"),
+        ({}, {"s": ["Bob", None]}, "sets['s']: vertex id must be a non-empty string"),
+        ({}, {"s": ["\udfff"]}, "sets['s']: 'utf-8' codec can't encode"),
+        ({}, {("s",): ["Bob"]}, "sets[('s',)]: a name must be a string"),
+    ],
+    ids=[
+        "surrogate-id", "empty-id", "int-id", "int-name", "bare-string-set",
+        "mapping-set", "int-set", "none-member", "surrogate-member", "tuple-set-name",
+    ],
+)
+def test_an_environment_that_breaks_the_binding_rule_is_refused(constants, sets, message):
+    # Ids keep the vertex id rule, so a bound name can name a vertex and
+    # the environment saves; a bare string is not read as a set of letters.
+    with pytest.raises(ValueError) as info:
+        Environment(constants=constants, sets=sets)
+    assert str(info.value).startswith(message)
+
+
+def test_an_environment_keeps_read_only_copies():
+    constants, members = {"Bob": "Bob"}, {"Bob"}
+    env = Environment(constants=constants, sets={"blacklist": members})
+    constants["Bob"] = "Eve"
+    members.add("Eve")
+    assert env.constants == {"Bob": "Bob"}
+    assert env.sets == {"blacklist": frozenset({"Bob"})}
+    with pytest.raises(TypeError):
+        env.constants["Bob"] = "Eve"
+    with pytest.raises(TypeError):
+        env.sets["blacklist"] = frozenset({"Eve"})
+
+
+def test_bind_hands_out_read_only_tables(encapsulation):
+    # A verdict depends only on the policy and the graph: the tables that
+    # evaluation reads cannot be changed after binding.
+    ast = parse_policy("edge(sgx, Bob, ActedOnBehalfOf) and member(Bob, listed)")
+    bound = bind(ast, Environment({"sgx": "sgx", "Bob": "Bob"}, {"listed": ["Bob"]}))
+    assert evaluate(bound, encapsulation).satisfied
+    with pytest.raises(TypeError):
+        bound.constants["Bob"] = "Mallory"
+    with pytest.raises(TypeError):
+        bound.sets["listed"] = frozenset()
+    assert evaluate(bound, encapsulation).satisfied
+
+
+def test_environments_and_bound_policies_copy_and_pickle():
+    env = Environment({"Root": "r1", "Bob": "Bob"}, {"blacklist": {"b1", "b2"}, "none": ()})
+    ast = parse_policy("member(Bob, blacklist) or edge(Bob, Root, Used) or member(Bob, gone)")
+    bound = bind(ast, env)
+    for original in (env, bound):
+        for twin in (
+            copy.copy(original),
+            copy.deepcopy(original),
+            pickle.loads(pickle.dumps(original)),
+        ):
+            assert twin == original
+            with pytest.raises(TypeError):
+                twin.constants["Bob"] = "Eve"
+    assert pickle.loads(pickle.dumps(bound)).unresolved == ("gone",)

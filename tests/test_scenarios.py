@@ -6,7 +6,15 @@ import pytest
 
 from acdc_prov import scenarios
 from acdc_prov.evaluator import evaluate
-from acdc_prov.graph import GraphError, ProvGraph, RelationLabel, VertexKind, union
+from acdc_prov.graph import (
+    GraphError,
+    LabeledEdge,
+    ProvGraph,
+    RelationLabel,
+    Vertex,
+    VertexKind,
+    union,
+)
 from acdc_prov.policy import Environment, parse_policy
 from acdc_prov.scenarios import (
     BALLOT_STEPS,
@@ -94,8 +102,10 @@ def test_encapsulation_policies_are_owner_parametric(entries):
 
 
 def test_foreign_derivation_breaks_p7_only(entries, encapsulation):
-    g = encapsulation.add_vertex("Key_Mallory", VertexKind.KEY_ENTITY)
-    g = g.add_edge("SecureCapsule", "Key_Mallory", RelationLabel.WAS_DERIVED_FROM)
+    g = encapsulation.extend(
+        [Vertex("Key_Mallory", VertexKind.KEY_ENTITY)],
+        [LabeledEdge("SecureCapsule", "Key_Mallory", RelationLabel.WAS_DERIVED_FROM)],
+    )
     verdict = evaluate(entries["p7"].bound(), g)
     assert not verdict.satisfied
     assert verdict.counterexample == {"k": "Key_Mallory"}
@@ -104,8 +114,10 @@ def test_foreign_derivation_breaks_p7_only(entries, encapsulation):
 
 
 def test_foreign_data_derivation_breaks_p8(entries, encapsulation):
-    g = encapsulation.add_vertex("Smuggled", VertexKind.DATA_ENTITY)
-    g = g.add_edge("SecureCapsule", "Smuggled", RelationLabel.WAS_DERIVED_FROM)
+    g = encapsulation.extend(
+        [Vertex("Smuggled", VertexKind.DATA_ENTITY)],
+        [LabeledEdge("SecureCapsule", "Smuggled", RelationLabel.WAS_DERIVED_FROM)],
+    )
     assert not evaluate(entries["p8"].bound(), g).satisfied
     assert evaluate(entries["p5"].bound(), g).satisfied
 
@@ -175,24 +187,24 @@ _R = RelationLabel
 def chained_encapsulate_event(owner):
     owner_key = f"Key_{owner}"
     g = ProvGraph()
-    g = g.add_vertex(owner, _K.ACCOUNT_AGENT)
-    g = g.add_vertex("sgx", _K.NODE_AGENT)
-    g = g.add_vertex("Encapsulate", _K.ACTIVITY)
-    g = g.add_vertex("Plaintext", _K.DATA_ENTITY)
-    g = g.add_vertex("EncapsulateContract", _K.CONTRACT_ENTITY)
-    g = g.add_vertex("Key_SGX", _K.KEY_ENTITY)
-    g = g.add_vertex(owner_key, _K.KEY_ENTITY)
-    g = g.add_vertex("SecureCapsule", _K.DATA_ENTITY)
-    g = g.add_edge("sgx", owner, _R.ACTED_ON_BEHALF_OF)
-    g = g.add_edge("Encapsulate", "sgx", _R.WAS_ASSOCIATED_WITH)
+    g = g.extend([Vertex(owner, _K.ACCOUNT_AGENT)])
+    g = g.extend([Vertex("sgx", _K.NODE_AGENT)])
+    g = g.extend([Vertex("Encapsulate", _K.ACTIVITY)])
+    g = g.extend([Vertex("Plaintext", _K.DATA_ENTITY)])
+    g = g.extend([Vertex("EncapsulateContract", _K.CONTRACT_ENTITY)])
+    g = g.extend([Vertex("Key_SGX", _K.KEY_ENTITY)])
+    g = g.extend([Vertex(owner_key, _K.KEY_ENTITY)])
+    g = g.extend([Vertex("SecureCapsule", _K.DATA_ENTITY)])
+    g = g.extend(edges=[LabeledEdge("sgx", owner, _R.ACTED_ON_BEHALF_OF)])
+    g = g.extend(edges=[LabeledEdge("Encapsulate", "sgx", _R.WAS_ASSOCIATED_WITH)])
     for used in ("Plaintext", "EncapsulateContract", "Key_SGX", owner_key):
-        g = g.add_edge("Encapsulate", used, _R.USED)
-    g = g.add_edge("SecureCapsule", "Encapsulate", _R.WAS_GENERATED_BY)
+        g = g.extend(edges=[LabeledEdge("Encapsulate", used, _R.USED)])
+    g = g.extend(edges=[LabeledEdge("SecureCapsule", "Encapsulate", _R.WAS_GENERATED_BY)])
     for source in ("EncapsulateContract", owner_key, "Plaintext", "Key_SGX"):
-        g = g.add_edge("SecureCapsule", source, _R.WAS_DERIVED_FROM)
-    g = g.add_edge("Key_SGX", "sgx", _R.WAS_ATTRIBUTED_TO)
+        g = g.extend(edges=[LabeledEdge("SecureCapsule", source, _R.WAS_DERIVED_FROM)])
+    g = g.extend(edges=[LabeledEdge("Key_SGX", "sgx", _R.WAS_ATTRIBUTED_TO)])
     for owned in ("Plaintext", owner_key, "SecureCapsule"):
-        g = g.add_edge(owned, owner, _R.WAS_ATTRIBUTED_TO)
+        g = g.extend(edges=[LabeledEdge(owned, owner, _R.WAS_ATTRIBUTED_TO)])
     return g
 
 
@@ -200,37 +212,37 @@ def chained_encapsulate_with_foreign_inputs(owner, outsider):
     foreign_key = f"Key_{outsider}"
     foreign_data = f"Plaintext_{outsider}"
     g = chained_encapsulate_event(owner)
-    g = g.add_vertex(outsider, _K.ACCOUNT_AGENT)
-    g = g.add_vertex(foreign_key, _K.KEY_ENTITY)
-    g = g.add_vertex(foreign_data, _K.DATA_ENTITY)
-    g = g.add_edge("Encapsulate", foreign_key, _R.USED)
-    g = g.add_edge("Encapsulate", foreign_data, _R.USED)
-    g = g.add_edge(foreign_key, outsider, _R.WAS_ATTRIBUTED_TO)
-    g = g.add_edge(foreign_data, outsider, _R.WAS_ATTRIBUTED_TO)
+    g = g.extend([Vertex(outsider, _K.ACCOUNT_AGENT)])
+    g = g.extend([Vertex(foreign_key, _K.KEY_ENTITY)])
+    g = g.extend([Vertex(foreign_data, _K.DATA_ENTITY)])
+    g = g.extend(edges=[LabeledEdge("Encapsulate", foreign_key, _R.USED)])
+    g = g.extend(edges=[LabeledEdge("Encapsulate", foreign_data, _R.USED)])
+    g = g.extend(edges=[LabeledEdge(foreign_key, outsider, _R.WAS_ATTRIBUTED_TO)])
+    g = g.extend(edges=[LabeledEdge(foreign_data, outsider, _R.WAS_ATTRIBUTED_TO)])
     return g
 
 
 def chained_voting_trace(voter, machine, steps):
     """The chained builder for a legal ``steps``; it checks no order."""
     g = ProvGraph()
-    g = g.add_vertex(voter, _K.ACCOUNT_AGENT)
-    g = g.add_vertex(machine, _K.NODE_AGENT)
-    g = g.add_edge(machine, voter, _R.ACTED_ON_BEHALF_OF)
+    g = g.extend([Vertex(voter, _K.ACCOUNT_AGENT)])
+    g = g.extend([Vertex(machine, _K.NODE_AGENT)])
+    g = g.extend(edges=[LabeledEdge(machine, voter, _R.ACTED_ON_BEHALF_OF)])
     for step in steps:
         activity = step.value
         contract = f"{step.value}Contract"
-        g = g.add_vertex(activity, _K.ACTIVITY)
-        g = g.add_vertex(contract, _K.CONTRACT_ENTITY)
-        g = g.add_edge(activity, machine, _R.WAS_ASSOCIATED_WITH)
-        g = g.add_edge(activity, contract, _R.USED)
+        g = g.extend([Vertex(activity, _K.ACTIVITY)])
+        g = g.extend([Vertex(contract, _K.CONTRACT_ENTITY)])
+        g = g.extend(edges=[LabeledEdge(activity, machine, _R.WAS_ASSOCIATED_WITH)])
+        g = g.extend(edges=[LabeledEdge(activity, contract, _R.USED)])
         output = scenarios._STEP_OUTPUTS[step]
         if output is not None:
             output_id, output_kind = output
             owner = machine if step is VotingStep.COUNT else voter
-            g = g.add_vertex(output_id, output_kind)
-            g = g.add_edge(output_id, activity, _R.WAS_GENERATED_BY)
-            g = g.add_edge(output_id, contract, _R.WAS_DERIVED_FROM)
-            g = g.add_edge(output_id, owner, _R.WAS_ATTRIBUTED_TO)
+            g = g.extend([Vertex(output_id, output_kind)])
+            g = g.extend(edges=[LabeledEdge(output_id, activity, _R.WAS_GENERATED_BY)])
+            g = g.extend(edges=[LabeledEdge(output_id, contract, _R.WAS_DERIVED_FROM)])
+            g = g.extend(edges=[LabeledEdge(output_id, owner, _R.WAS_ATTRIBUTED_TO)])
     return g
 
 
@@ -313,11 +325,15 @@ def test_a_name_the_builders_cannot_use_is_refused(build, error):
 
 
 def test_builders_insert_nothing_one_at_a_time(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a builder inserted a vertex or an edge on its own")
+    extend = ProvGraph.extend
 
-    monkeypatch.setattr(ProvGraph, "add_vertex", refuse)
-    monkeypatch.setattr(ProvGraph, "add_edge", refuse)
+    def batched_extend(self, vertices=(), edges=()):
+        vertices, edges = list(vertices), list(edges)
+        if len(vertices) + len(edges) < 2:
+            raise AssertionError("a builder inserted a vertex or an edge on its own")
+        return extend(self, vertices, edges)
+
+    monkeypatch.setattr(ProvGraph, "extend", batched_extend)
     assert len(corpus_graphs()) == 7
     for steps in LEGAL_STEPS:
         build_voting_trace("Alice", "m1", steps)

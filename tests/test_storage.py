@@ -89,10 +89,13 @@ GOLDEN = """\
 
 
 def _golden_graph() -> ProvGraph:
-    g = ProvGraph()
-    g = g.add_vertex("Bob", VertexKind.ACCOUNT_AGENT)
-    g = g.add_vertex("sgx", VertexKind.NODE_AGENT, {"role": "enclave"})
-    return g.add_edge("sgx", "Bob", RelationLabel.ACTED_ON_BEHALF_OF)
+    return ProvGraph().extend(
+        [
+            Vertex("Bob", VertexKind.ACCOUNT_AGENT),
+            Vertex("sgx", VertexKind.NODE_AGENT, {"role": "enclave"}),
+        ],
+        [LabeledEdge("sgx", "Bob", RelationLabel.ACTED_ON_BEHALF_OF)],
+    )
 
 
 def _doc(vertices, edges, version=FORMAT_VERSION) -> str:
@@ -170,19 +173,20 @@ def test_every_graph_the_library_builds_saves_and_reloads(data):
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(VertexKind))
         with contextlib.suppress(*_REFUSED):
-            chained = chained.add_vertex(name(), kind, data.draw(_ATTRS))
+            chained = chained.extend([Vertex(name(), kind, data.draw(_ATTRS))])
     for _ in range(data.draw(st.integers(0, 8)) if chained.vertices else 0):
         ends = st.sampled_from(sorted(chained.vertices))
         label = data.draw(st.sampled_from(RelationLabel))
         with contextlib.suppress(*_REFUSED):
-            chained = chained.add_edge(data.draw(ends), data.draw(ends), label)
+            edge = LabeledEdge(data.draw(ends), data.draw(ends), label)
+            chained = chained.extend(edges=[edge])
     graphs.append(chained)
     keep(chained.renamed, {vid: name() for vid in chained.vertices})
     keep(union, chained, *graphs[:2])
     for graph in list(graphs):
         for vid, vertex in graph.vertices.items():
             if vertex.kind is VertexKind.ACTIVITY:
-                keep(lambda g, a: extract_event(g, a).subgraph, graph, vid)
+                keep(extract_event, graph, vid)
             elif vertex.kind is VertexKind.ACCOUNT_AGENT:
                 keep(slice_by_agent, graph, vid)
     for graph in graphs:
@@ -198,8 +202,7 @@ def _module_at(path: Path):
     return module
 
 
-def test_round_trip_at_population_scale():
-    population = _module_at(ROOT / "perfbench" / "population.py")
+def test_round_trip_at_population_scale(population):
     history = population.build_history(random.Random(5), voters=600, owners=30)
     assert history.size[0] >= 8000
     doc = history.document()  # canonical, written straight from its records
@@ -246,13 +249,24 @@ def test_rejects_unknown_kind_with_index():
         load_graph(doc)
 
 
-def test_rejects_unknown_label_with_index():
+@pytest.mark.parametrize(
+    "label, error, message",
+    [
+        ("Consumed", UnknownLabelError, "edges[0]: unknown label 'Consumed'"),
+        (None, MalformedDocumentError, "edges[0]: 'label' must be a string"),
+        (["Used"], MalformedDocumentError, "edges[0]: 'label' must be a string"),
+    ],
+    ids=["unknown", "null", "list"],
+)
+def test_rejects_unknown_label_with_index(label, error, message):
     doc = _doc(
         [{"id": "a", "kind": "activity"}, {"id": "b", "kind": "data_entity"}],
-        [{"src": "a", "dst": "b", "label": "Consumed"}],
+        [{"src": "a", "dst": "b", "label": label}],
     )
-    with pytest.raises(UnknownLabelError, match=r"edges\[0\].*Consumed"):
+    with pytest.raises(MalformedDocumentError) as info:
         load_graph(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_rejects_duplicate_vertex_ids():
@@ -303,8 +317,10 @@ def test_rejects_bad_attrs(load, attrs, message):
         ({"id": "", "kind": "activity"}, "'id' must be a non-empty string"),
         ({"kind": "activity"}, "'id' must be a non-empty string"),
         ({"id": "\ud800", "kind": "activity"}, _SURROGATE),
+        ("a", "must be an object"),
+        (["a", "activity"], "must be an object"),
     ],
-    ids=["empty", "missing", "surrogate"],
+    ids=["empty", "missing", "surrogate", "string-record", "list-record"],
 )
 def test_rejects_bad_id(load, record, message):
     with pytest.raises(MalformedDocumentError) as info:
@@ -498,9 +514,9 @@ def test_unchecked_load_defers_typing_to_validation():
 
 
 def _load_graph_per_record(data: str) -> ProvGraph:
-    """The oracle: each edge record checked in document order, as
-    ``add_edge`` would insert it, each error prefixed with its index. The
-    documents are well-formed, so records are read without checks."""
+    """The oracle: each edge record checked in document order, as a
+    one-edge ``extend`` would insert it, each error prefixed with its
+    index. The documents are well-formed, so records are read without checks."""
     doc = json.loads(data)
     vertices = {
         r["id"]: Vertex(r["id"], VertexKind(r["kind"]), r.get("attrs", {}))
@@ -697,6 +713,24 @@ def test_environment_rejects_bad_shapes():
         load_environment(json.dumps({"sets": {"s": "Bob"}}))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"constants": {"Bob": "\ud800"}}, "constants['Bob']: 'utf-8' codec can't encode"),
+        ({"constants": {"Bob": ""}}, "constants['Bob']: vertex id must be a non-empty"),
+        ({"sets": {"s": ["Bob", "\ud800"]}}, "sets['s']: 'utf-8' codec can't encode"),
+        ({"sets": {"s": [""]}}, "sets['s']: vertex id must be a non-empty string"),
+    ],
+    ids=["surrogate-constant", "empty-constant", "surrogate-member", "empty-member"],
+)
+def test_environment_rejects_ids_that_break_the_vertex_id_rule(doc, message):
+    # The environment, not the loader, keeps the rule, and the loader
+    # reports it as a malformed document.
+    with pytest.raises(MalformedDocumentError) as info:
+        load_environment(json.dumps(doc))
+    assert str(info.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # verdict reports
 # ---------------------------------------------------------------------------
@@ -754,6 +788,15 @@ def test_corpus_script_renders_every_shipped_graph_byte_for_byte():
     assert sorted(rendered) == sorted(shipped)
     for name, data in rendered.items():
         assert data == shipped[name], name
+
+
+def test_every_shipped_environment_re_saves_byte_for_byte():
+    shipped = resources.files("acdc_prov").joinpath("corpus")
+    documents = [path for path in shipped.iterdir() if path.name.endswith(".env.json")]
+    assert len(documents) == 19
+    for path in documents:
+        data = path.read_bytes()
+        assert save_environment(load_environment(data)) == data, path.name
 
 
 def test_packaged_blacklist_example():
