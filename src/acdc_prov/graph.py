@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "VertexKind",
@@ -248,11 +248,11 @@ _OutLists = Mapping[str, Collection[LabeledEdge]]  # per-vertex lists, from ``_e
 class ProvGraph:
     """A read-only typed provenance graph that validates at most once.
 
-    Direct construction skips the edge checks, not ``Vertex``'s; a graph
+    Direct construction refuses an edge whose label is not a RelationLabel
+    (ValueError) and skips the other edge checks, not ``Vertex``'s; a graph
     ``extend`` grows from a valid one is valid, and known to be.
     ``validate_typing``/``validate_acyclic`` check any instance, once, and
-    raise MissingVertexError for an edge whose endpoint is absent, or
-    ValueError for one whose label is not a RelationLabel.
+    raise MissingVertexError for an edge whose endpoint is absent.
     """
 
     vertices: Mapping[str, Vertex] = field(default_factory=dict)
@@ -264,8 +264,12 @@ class ProvGraph:
             if vid != vertex.id:
                 raise ValueError(f"vertices key {vid!r} is not its vertex's id")
             vertices[vid] = vertex
+        edges = frozenset(self.edges)
+        for edge in edges:
+            if edge.label not in TYPING_RULES:
+                raise ValueError(f"edge label must be a RelationLabel, not {edge.label!r}")
         object.__setattr__(self, "vertices", MappingProxyType(vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "edges", edges)
 
     def __reduce__(self):
         return ProvGraph, (dict(self.vertices), self.edges)
@@ -413,18 +417,19 @@ class ProvGraph:
 
     @cached_property
     def _report(self) -> tuple[tuple[TypeViolation, ...], tuple[Cycle, ...]]:
-        """Both reports from one ``_scan``. Tarjan's search runs only if its
-        Kahn drain leaves vertices, and only over those: every cycle lies
+        """Both reports from one ``_scan``. Kosaraju's search runs only if
+        its Kahn drain leaves vertices, and only over those: every cycle lies
         among them."""
         outgoing = self._outgoing
         violations, undrained = _scan(self.vertices, outgoing)
         cycles: list[Cycle] = []
         if undrained:
             for component in _strongly_connected(undrained, outgoing):
+                members = set(component)  # every closed walk stays among them
+                inner = {v: [e for e in outgoing.get(v, ()) if e.dst in members] for v in members}
                 start = min(component)
-                targets = {edge.dst for edge in outgoing.get(start, ())}
-                if len(component) > 1 or start in targets:
-                    cycles.append(_walk(outgoing, start, start))
+                if inner[start]:  # more than one member, or a self-loop
+                    cycles.append(_walk(inner, start, start))
         cycles.sort(key=lambda c: (min(c), len(c), c))
         return tuple(violations), tuple(cycles)
 
@@ -537,52 +542,34 @@ def _scan(
 
 
 def _strongly_connected(ids: Iterable[str], outgoing: _OutLists) -> list[list[str]]:
-    """The strongly connected components (Tarjan 1972) of the subgraph on
-    ``ids``, which must hold every successor of its members."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    """The strongly connected components (Kosaraju; Sharir 1981) of the
+    subgraph on ``ids``, which must hold every successor of its members: a
+    depth-first pass lists the members as they finish, then, latest first,
+    each unclaimed member claims the unclaimed members that reach it."""
+    finished: list[str] = []
+    seen: set[str] = set()
+    work = [(None, iter(ids))]  # a root above every member, so one pass visits all
+    while work:
+        for nxt in work[-1][1]:
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append((nxt, (edge.dst for edge in outgoing.get(nxt, ()))))
+                break
+        else:
+            finished.append(work.pop()[0])
+    finished.pop()  # the root, finished last
+    incoming = _edge_lists(chain.from_iterable(outgoing.get(v, ()) for v in finished), "dst")
+    claimed: set[str] = set()
     components: list[list[str]] = []
-    counter = 0
-    for root in sorted(ids):
-        if root in index:
-            continue
-        work = [(root, iter(outgoing.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            vid, pending = work[-1]
-            pushed = False
-            for edge in pending:
-                nxt = edge.dst
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(outgoing.get(nxt, ()))))
-                    pushed = True
-                    break
-                if nxt in on_stack:
-                    low[vid] = min(low[vid], index[nxt])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[vid])
-            if low[vid] == index[vid]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == vid:
-                        break
-                components.append(component)
+    for root in reversed(finished):
+        if root not in claimed:
+            claimed.add(root)
+            components.append([root])
+            for vid in components[-1]:
+                for edge in incoming.get(vid, ()):
+                    if edge.src not in claimed:
+                        claimed.add(edge.src)
+                        components[-1].append(edge.src)
     return components
 
 

@@ -56,7 +56,7 @@ def entries() -> dict[str, CorpusPolicy]:
 @pytest.fixture
 def validations(monkeypatch):
     """The graphs whose validation report gets computed, and the vertex
-    sets Tarjan's search runs over, each in call order."""
+    sets Kosaraju's search runs over, each in call order."""
     reports, searches = [], []
     compute = ProvGraph.__dict__["_report"].func
     search = graph_module._strongly_connected

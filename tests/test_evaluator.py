@@ -272,7 +272,7 @@ def test_invalid_graph_is_rejected_on_every_call(entries, broken, validations):
             evaluate(bound, graph)
     reports, searches = validations
     assert reports == [graph]
-    # Tarjan's search names cycles once, over the vertices on them only.
+    # Kosaraju's search names cycles once, over the vertices on them only.
     assert searches == ([["x", "y"]] if broken is _cyclic_graph else [])
 
 
@@ -531,6 +531,24 @@ def test_the_chain_loop_agrees_on_an_872_vertex_history(population):
     # count_done is left out: it takes most of a minute at this size.
     booth_policies = ["receipt_attributed", "blacklisted_actor"]
     _assert_same_on_a_history(population, 60, 10, booth_policies, _ENCAPSULATION_POLICIES)
+
+
+def test_verdicts_on_an_audit_sized_history_are_its_ground_truth(population):
+    # The answers the benchmark's audit workload checks, derived from the
+    # history's records: every voting policy under the booth environment,
+    # each encapsulation policy under every owner's.
+    history = population.build_history(random.Random(1), voters=10, owners=6)
+    graph = load_graph(history.document())
+    entries = corpus_by_name()
+    booth = load_environment(history.booth_environment())
+    for name in population.VOTING_POLICIES:
+        verdict = evaluate(entries[name].bound(booth), graph)
+        assert verdict == Verdict(*history.expected(name)), name
+    for owner in history.owners:
+        env = load_environment(owner.environment())
+        for name in population.ENCAPSULATION_POLICIES:
+            verdict = evaluate(entries[name].bound(env), graph)
+            assert verdict == Verdict(*history.expected(name, owner=owner)), (name, owner)
 
 
 @pytest.mark.parametrize("depth", [100, 400])

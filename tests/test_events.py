@@ -264,6 +264,19 @@ def test_slice_of_uninvolved_agent_is_just_the_agent(alice_trace):
     assert not sliced.edges
 
 
+@pytest.mark.parametrize("voters, owners, step", [(10, 6, 1), (20, 4, 7)])
+def test_slices_of_a_population_history_are_its_ground_truth(population, voters, owners, step):
+    # The slices the benchmark's gate workload checks, derived from the
+    # history's records: every voter of the audit-sized history, and three
+    # voters of the gate-sized one.
+    history = population.build_history(random.Random(1), voters=voters, owners=owners)
+    graph = load_graph(history.document())
+    for voter in history.voters()[::step]:
+        ids, edges = history.slice_records(voter)
+        part = slice_by_agent(graph, voter)
+        assert (set(part.vertices), len(part.edges)) == (ids, edges), voter
+
+
 def test_slice_unknown_agent(encapsulation):
     with pytest.raises(NoSuchAgentError):
         slice_by_agent(encapsulation, "Dana")

@@ -38,6 +38,7 @@ from acdc_prov.events import extract_event, slice_by_agent
 from acdc_prov.storage import load_graph, load_graph_unchecked, save_graph
 from acdc_prov.scenarios import corpus_graphs
 from randgen import random_graph, random_graph_with_order, random_large_graph
+from test_extend import _Counted, _CountedList
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,6 +131,17 @@ def test_an_edge_label_that_is_not_a_relation_label_is_refused(label):
         ProvGraph(g.vertices, {bad}).validate_typing()
     with pytest.raises(ValueError, match=re.escape(message)):
         ProvGraph(g.vertices, {bad}).validate_acyclic()
+
+
+@pytest.mark.parametrize("label", ["Used", None, K.ACTIVITY])
+def test_direct_construction_refuses_an_edge_label_that_is_not_a_relation_label(label):
+    # Such an edge used to be taken: ``has_edge`` then answered for the
+    # string "Used" but not for ``R.USED``, and ``save_graph`` raised
+    # AttributeError.
+    vertices = two_vertex_graph(K.ACTIVITY, K.KEY_ENTITY).vertices
+    message = f"edge label must be a RelationLabel, not {label!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProvGraph(vertices, {LabeledEdge("a", "b", label)})
 
 
 def test_vertex_attrs_are_kept():
@@ -301,6 +313,32 @@ def test_validate_acyclic_reports_forced_cycle():
     )
     cycles = ProvGraph(vertices, edges).validate_acyclic()
     assert cycles == [("x", "y")]
+
+
+def test_naming_cycles_reads_each_edge_a_fixed_number_of_times():
+    # 100 three-vertex cycles, each feeding one hub of 2000 leaves. The
+    # walk that names a cycle reads only its own component's edges, so the
+    # hub's fan-out is not read once per cycle: the scan, both traversals
+    # and the components' own lists each read every edge once.
+    vertices = [Vertex("hub", K.DATA_ENTITY)]
+    edges = []
+    for i in range(2000):
+        vertices.append(Vertex(f"leaf{i}", K.DATA_ENTITY))
+        edges.append(LabeledEdge("hub", f"leaf{i}", R.WAS_DERIVED_FROM))
+    for i in range(100):
+        ring = [f"c{i}a", f"c{i}b", f"c{i}c"]
+        vertices += [Vertex(vid, K.DATA_ENTITY) for vid in ring]
+        for src, dst in zip(ring, ring[1:] + ring[:1]):
+            edges.append(LabeledEdge(src, dst, R.WAS_DERIVED_FROM))
+        edges.append(LabeledEdge(ring[0], "hub", R.WAS_DERIVED_FROM))
+    graph = ProvGraph({v.id: v for v in vertices}, edges)
+    vars(graph)["_outgoing"] = {
+        vid: _CountedList(own) for vid, own in graph._outgoing.items()
+    }
+    before = _Counted.reads
+    cycles = graph.validate_acyclic()
+    assert cycles == sorted((f"c{i}a", f"c{i}b", f"c{i}c") for i in range(100))
+    assert _Counted.reads - before <= 4 * len(graph.edges)
 
 
 def test_validate_clean_graph(encapsulation):

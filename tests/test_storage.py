@@ -330,6 +330,17 @@ def test_rejects_bad_id(load, record, message):
 
 @_LOADERS
 @pytest.mark.parametrize(
+    "record", ["a", ["a", "b", "Used"]], ids=["string-record", "list-record"]
+)
+def test_rejects_an_edge_record_that_is_not_an_object(load, record):
+    doc = _doc([{"id": "a", "kind": "activity"}, {"id": "b", "kind": "data_entity"}], [record])
+    with pytest.raises(MalformedDocumentError) as info:
+        load(doc)
+    assert str(info.value) == "edges[0]: must be an object"
+
+
+@_LOADERS
+@pytest.mark.parametrize(
     "records, error, message",
     [
         (
@@ -366,6 +377,12 @@ def test_a_record_with_two_faults_reports_the_first(load, records, error, messag
 def test_rejects_invalid_json_with_position():
     with pytest.raises(MalformedDocumentError, match=r"invalid JSON.*line 1"):
         load_graph("{")
+
+
+def test_rejects_json_nested_too_deeply():
+    # The decoder's recursion limit, reached in-process, is unusable input.
+    with pytest.raises(MalformedDocumentError, match="^invalid JSON: nested too deeply$"):
+        load_graph("[" * 100000)
 
 
 def test_rejects_invalid_utf8():
